@@ -42,6 +42,10 @@ use signaling::{kinds, AlgorithmInstance, SignalingAlgorithm};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Minimum steps between the simulator checkpoints erasure starts from
+/// (the effective interval is `max(CHECKPOINT_INTERVAL, n)`).
+const CHECKPOINT_INTERVAL: usize = 128;
+
 /// Tuning knobs for the Part-1 construction.
 #[derive(Clone, Copy, Debug)]
 pub struct Part1Config {
@@ -60,13 +64,10 @@ pub struct Part1Config {
     /// algorithms — e.g. the Corollary 6.14 read/write transformation —
     /// park waiters like this.
     pub max_local_steps: u64,
-    /// Steps between simulator checkpoints for incremental replay (0
-    /// disables checkpointing; only meaningful with `incremental`).
-    pub checkpoint_interval: usize,
-    /// Use the incremental replay engine ([`Simulator::erase_certified`])
-    /// for erasures. When `false`, every erasure is certified by a
-    /// from-scratch replay plus full projection comparison — the reference
-    /// path the incremental one is tested against.
+    /// Erase in place with [`Simulator::erase_certified_in_place`], from
+    /// the simulator's checkpoints. When `false`, every erasure is certified
+    /// by a from-scratch replay plus full projection comparison — the
+    /// reference path the incremental one is tested against.
     pub incremental: bool,
     /// Run the differential audit ([`Simulator::audit`]) over the final
     /// history of each phase: a naive shadow executor re-runs the recorded
@@ -84,7 +85,6 @@ impl Default for Part1Config {
             max_rounds: 8,
             probe_calls: 3,
             max_local_steps: 4_096,
-            checkpoint_interval: 128,
             incremental: true,
             audit: false,
         }
@@ -198,7 +198,7 @@ impl Part1Runner {
             // Scale the interval with n: the schedule grows ~n steps per
             // round, so this keeps the checkpoint count O(rounds) while the
             // event-walk certifier stays cheap over an interval-long span.
-            sim.enable_checkpoints(cfg.checkpoint_interval.max(cfg.n));
+            sim.enable_checkpoints(CHECKPOINT_INTERVAL.max(cfg.n));
         }
         Part1Runner {
             spec,
@@ -244,10 +244,9 @@ impl Part1Runner {
         let mut new_erased = self.erased.clone();
         new_erased.extend(batch.iter().copied());
         if self.cfg.incremental {
-            // Incremental path: replay only from the last checkpoint before
-            // the batch's first step, certifying survivor projections online
-            // (first divergent event refuses the erasure). The erasure is
-            // applied in place so the shared history prefix is never copied.
+            // Incremental path: certify from the last checkpoint before the
+            // batch's first step and apply the erasure in place, so the
+            // shared history prefix is never re-executed.
             // (`erase_certified_in_place` takes the *full* erased set:
             // previously erased processes have no recorded steps, so they
             // never move the splice point.)

@@ -288,8 +288,8 @@ fn run_signal_phase(
     let mut committed: u64 = 0;
     let mut sim = if incremental {
         // Incremental path: continue the Part-1 simulator directly (with its
-        // checkpoints); the injection is recorded, so `erase_certified`
-        // replays it when it reconstructs the suffix.
+        // checkpoints); the injection is recorded, so
+        // `erase_certified_in_place` keeps it for surviving targets.
         let mut sim = runner.sim.clone();
         sim.inject_call(
             s,

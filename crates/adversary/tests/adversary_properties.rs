@@ -137,14 +137,12 @@ fn worst_amortized_dominates_part1() {
 /// The incremental replay engine and the reference from-scratch path are
 /// observationally identical: every outcome of the full pipeline — Part-1
 /// populations, RMR counts, chase/discovery results — matches exactly with
-/// `incremental` on and off, for every algorithm and several checkpoint
-/// intervals.
+/// `incremental` on and off, for every algorithm.
 #[test]
 fn incremental_engine_matches_reference_pipeline() {
-    let summarize = |a: &dyn SignalingAlgorithm, n: usize, incremental: bool, interval: usize| {
+    let summarize = |a: &dyn SignalingAlgorithm, n: usize, incremental: bool| {
         let mut cfg = LowerBoundConfig::for_n(n);
         cfg.part1.incremental = incremental;
-        cfg.part1.checkpoint_interval = interval;
         let r = run_lower_bound(a, cfg);
         let run_key = |s: &rmr_adversary::SignalRun| {
             (
@@ -177,15 +175,13 @@ fn incremental_engine_matches_reference_pipeline() {
     for which in 0..6 {
         let a = algo(which);
         let n = 20;
-        let reference = summarize(a.as_ref(), n, false, 0);
-        for interval in [16usize, 128] {
-            let inc = summarize(a.as_ref(), n, true, interval);
-            assert_eq!(
-                inc,
-                reference,
-                "{} n={n} interval={interval}: incremental differs from reference",
-                a.name()
-            );
-        }
+        let reference = summarize(a.as_ref(), n, false);
+        let inc = summarize(a.as_ref(), n, true);
+        assert_eq!(
+            inc,
+            reference,
+            "{} n={n}: incremental differs from reference",
+            a.name()
+        );
     }
 }

@@ -1,18 +1,19 @@
 //! How erasure cost scales with history length: full from-scratch
-//! `Simulator::replay` versus the incremental `filtered_replay` /
-//! `erase_certified` path at several checkpoint intervals.
+//! `Simulator::replay` versus `erase_certified_in_place` on a clone of a
+//! checkpointed recording, under DSM (event-walk surgery) and a CC model
+//! (re-step from the latest checkpoint), at two checkpoint intervals.
 //!
 //! The erased victim is chosen to first step late in the recording, so the
-//! incremental engine only replays a short suffix while the reference pays
-//! for the whole history.
+//! in-place erasure only walks or re-steps a short suffix while the
+//! reference pays for the whole history. Nobody steps after the victim, so
+//! its erasure is always accepted.
 
 use bench::timing::{bench, report};
 use shm_sim::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Mixed-op workload over shared and per-process cells (same family as the
-/// `incremental_replay` determinism tests).
+/// Mixed-op workload over shared and per-process cells.
 fn workload(n: usize, calls: usize, model: CostModel) -> SimSpec {
     let mut layout = MemLayout::new();
     let a = layout.alloc_global(0);
@@ -66,35 +67,38 @@ fn record(spec: &SimSpec, n: usize, interval: usize) -> Simulator {
 }
 
 fn main() {
-    println!("replay under one late erasure: full replay vs incremental engine");
-    for n in [64usize, 128, 256] {
-        let spec = workload(n, 6, CostModel::Dsm);
-        let victim = ProcId(n as u32 - 1);
-        let erased: BTreeSet<ProcId> = [victim].into_iter().collect();
+    println!("one late erasure: full replay vs in-place erasure");
+    for (tag, model) in [("dsm", CostModel::Dsm), ("cc", CostModel::cc_default())] {
+        for n in [64usize, 128, 256] {
+            let spec = workload(n, 6, model);
+            let victim = ProcId(n as u32 - 1);
+            let erased: BTreeSet<ProcId> = [victim].into_iter().collect();
 
-        let reference = record(&spec, n, 0);
-        let schedule = reference.schedule().to_vec();
-        let r = bench(
-            &format!("full_replay/n={n}/steps={}", schedule.len()),
-            10,
-            || Simulator::replay(&spec, &schedule, &erased),
-        );
-        report(&r);
-
-        for interval in [64usize, 256] {
-            let sim = record(&spec, n, interval);
+            let reference = record(&spec, n, 0);
+            let schedule = reference.schedule().to_vec();
             let r = bench(
-                &format!("filtered_replay/n={n}/interval={interval}"),
+                &format!("full_replay/{tag}/n={n}/steps={}", schedule.len()),
                 10,
-                || sim.filtered_replay(&spec, &erased),
+                || Simulator::replay(&spec, &schedule, &erased),
             );
             report(&r);
-            let r = bench(
-                &format!("erase_certified/n={n}/interval={interval}"),
-                10,
-                || sim.erase_certified(&spec, &erased),
-            );
-            report(&r);
+
+            for interval in [64usize, 256] {
+                let sim = record(&spec, n, interval);
+                let r = bench(
+                    &format!("erase_in_place/{tag}/n={n}/interval={interval}"),
+                    10,
+                    || {
+                        let mut erasing = sim.clone();
+                        assert!(
+                            erasing.erase_certified_in_place(&spec, &erased),
+                            "erasing the last process to step was refused"
+                        );
+                        erasing
+                    },
+                );
+                report(&r);
+            }
         }
     }
 }

@@ -181,7 +181,7 @@ pub mod registry {
         CounterDef {
             name: "replay.steps",
             deterministic: true,
-            help: "schedule entries re-executed by replay_from",
+            help: "schedule entries re-stepped by the erasure re-step path",
         },
         CounterDef {
             name: "erase.surgery",
@@ -191,7 +191,7 @@ pub mod registry {
         CounterDef {
             name: "erase.replay",
             deterministic: true,
-            help: "erasures applied by the CC replay fallback",
+            help: "erasures applied by the re-step path (CC models)",
         },
         CounterDef {
             name: "erase.refused",

@@ -1007,8 +1007,8 @@ impl<'a> Walk<'a> {
     }
 
     /// Walks this walk's schedule range, re-applying injections at their
-    /// recorded positions (same loop as the replay engine's `run_filtered`,
-    /// but with no erasure and no fingerprints).
+    /// recorded positions (same loop as the simulator's re-step erasure
+    /// path, but with no erasure and no fingerprints).
     ///
     /// `end_ckpt` is `Some` for a non-final chunk: instead of the end-of-run
     /// checks, the chunk verifies its re-derived state against the closing

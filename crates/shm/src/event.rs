@@ -259,33 +259,6 @@ impl EventLog {
             .chain(tail.iter())
     }
 
-    /// Visits events `start..len` through plain slice loops — the hot-path
-    /// counterpart of [`EventLog::iter_from`] for consumers (the fingerprint
-    /// flush runs once per step batch) where the chained iterator's per-next
-    /// branching shows up in profiles.
-    #[inline]
-    fn for_each_from(&self, start: usize, mut f: impl FnMut(&Event)) {
-        let c = start / CHUNK;
-        if c < self.sealed.len() {
-            for e in &self.sealed[c][start % CHUNK..] {
-                f(e);
-            }
-            for ch in &self.sealed[c + 1..] {
-                for e in ch.iter() {
-                    f(e);
-                }
-            }
-            for e in &self.tail {
-                f(e);
-            }
-        } else {
-            let t = (start - self.sealed.len() * CHUNK).min(self.tail.len());
-            for e in &self.tail[t..] {
-                f(e);
-            }
-        }
-    }
-
     /// Keeps the first `len` events. Sealed chunks past the cut are
     /// dropped; a chunk the cut lands inside is unsealed back into the
     /// tail (its prefix is copied — at most `CHUNK - 1` events).
@@ -304,30 +277,6 @@ impl EventLog {
             self.tail.extend_from_slice(&boundary[..len % CHUNK]);
         } else {
             self.tail.truncate(len - self.sealed.len() * CHUNK);
-        }
-    }
-
-    /// The first `len` events as a new log, sharing every sealed chunk
-    /// below the cut with `self`.
-    fn prefix_of(&self, len: usize) -> EventLog {
-        let mut out = self.clone();
-        out.truncate(len);
-        out
-    }
-
-    fn retain(&mut self, f: impl Fn(&Event) -> bool) {
-        let mut out = EventLog::default();
-        for e in self.iter() {
-            if f(e) {
-                out.push(e.clone());
-            }
-        }
-        *self = out;
-    }
-
-    fn extend_cloned(&mut self, other: &EventLog) {
-        for e in other.iter() {
-            self.push(e.clone());
         }
     }
 
@@ -354,10 +303,6 @@ impl Drop for EventLog {
     }
 }
 
-/// Maximum number of appended events the rolling-hash fold may lag behind
-/// the log; bounds what an on-demand fingerprint read has to scan.
-const PENDING_MAX: usize = 64;
-
 /// The event log of one execution.
 ///
 /// A `History` corresponds to the paper's history `H`: a finite sequence of
@@ -370,38 +315,20 @@ const PENDING_MAX: usize = 64;
 /// sequence [`History::projection`] would produce for that process. Two
 /// histories with equal fingerprints for `p` have equal projections for `p`
 /// (up to hash collision, which
-/// [`Simulator::erase_certified`](crate::Simulator) guards with a
-/// `debug_assert` on the exact comparison), which turns the lower-bound
-/// adversary's survivor certification from an O(history) event comparison
-/// into an O(1) hash comparison.
+/// [`Simulator::erase_certified_in_place`](crate::Simulator::erase_certified_in_place)
+/// guards with an exact comparison in debug builds), which turns survivor
+/// certification under erasure from an O(history) event comparison into an
+/// O(1) hash comparison.
 ///
-/// Fingerprint maintenance is *adaptive*. A fresh history folds each pushed
-/// event into the rolling hashes inline, while the event is still in
-/// registers — the straight-line stepping hot path, where a deferred fold
-/// would have to re-decode every event from the log a second time. The
-/// first [`History::rewind`] switches the history to deferred mode: `push`
-/// then does no hash work at all and the folds run in [`PENDING_MAX`]-sized
-/// batches (or on demand at a read, which folds the bounded lag on the fly).
-/// Checkpoint-rewind consumers — the schedule-space explorer — mostly roll
-/// pushed events back before any fingerprint is read, so deferring saves
-/// their folds entirely. Reads observe exactly the same values in both
-/// modes: the fold is associative over the append order, which batching
-/// preserves.
+/// Each event is folded into its process's hash at `push`, while it is
+/// still in registers, so a read is a plain lookup. [`History::rewind`]
+/// reinstates the hashes a checkpoint recorded.
 #[derive(Clone, Debug, Default)]
 pub struct History {
     events: EventLog,
-    /// `proj_hash[p]` = rolling hash of `projection(ProcId(p))` over
-    /// `events[..fp_applied]`. Grown on demand; missing entries mean "no
-    /// projected events yet".
+    /// `proj_hash[p]` = rolling hash of `projection(ProcId(p))`. Grown on
+    /// demand; missing entries mean "no projected events yet".
     proj_hash: Vec<u128>,
-    /// Number of leading log events already folded into `proj_hash`.
-    /// Equal to `events.len()` in eager mode; in deferred mode events
-    /// `fp_applied..len` are folded lazily (batched in `push`, or on the
-    /// fly by fingerprint reads).
-    fp_applied: usize,
-    /// `true` = deferred (batched) fold mode, entered on the first rewind
-    /// and never left; `false` (the default) = eager inline folds on push.
-    lazy_fp: bool,
 }
 
 /// Odd multiplier for the polynomial fingerprint (random 128-bit constant).
@@ -453,63 +380,32 @@ impl History {
         Self::default()
     }
 
-    /// Creates an empty event log whose fingerprints continue from `hashes`
-    /// (a checkpoint's fingerprint state). Appending the events that
-    /// followed the checkpoint reproduces the full history's fingerprints
-    /// even though the prefix events themselves are absent.
-    pub(crate) fn seeded(hashes: Vec<u128>) -> Self {
-        History {
-            events: EventLog::default(),
-            proj_hash: hashes,
-            fp_applied: 0,
-            lazy_fp: false,
-        }
-    }
-
-    /// Builds the full history `prefix[..prefix_len] ++ suffix`: used after
-    /// a suffix replay from a checkpoint, where `suffix` was
-    /// [`History::seeded`] with the checkpoint's fingerprints (so its
-    /// fingerprints already cover the whole spliced log). Sealed chunks of
-    /// the prefix below the cut are shared, not copied.
-    pub(crate) fn spliced(prefix: &History, prefix_len: usize, mut suffix: History) -> Self {
-        suffix.flush_fingerprints();
-        let mut events = prefix.events.prefix_of(prefix_len);
-        events.extend_cloned(&suffix.events);
-        let fp_applied = events.len();
-        History {
-            events,
-            proj_hash: suffix.proj_hash,
-            fp_applied,
-            lazy_fp: prefix.lazy_fp,
-        }
-    }
-
-    /// Keeps the first `keep` events and appends `suffix`'s events after
-    /// them, adopting `suffix`'s fingerprints (which must have been
-    /// [`History::seeded`] with the fingerprint state at `keep` events, so
-    /// they already cover the whole resulting log). The in-place O(suffix)
-    /// counterpart of [`History::spliced`].
-    pub(crate) fn splice_tail(&mut self, keep: usize, mut suffix: History) {
-        assert!(keep <= self.events.len(), "splice_tail past the end");
-        suffix.flush_fingerprints();
-        self.events.truncate(keep);
-        self.events.extend_cloned(&suffix.events);
-        self.proj_hash = suffix.proj_hash;
-        self.fp_applied = self.events.len();
-    }
-
     /// Removes every event of the processes marked in `gone` (indexed by
-    /// pid), resetting their fingerprints to the empty-projection seed.
+    /// pid), resetting their fingerprints to the empty-projection seed, and
+    /// overwrites the `sees` field of the survivor accesses listed in
+    /// `sees`: `(event index, new value)` pairs in ascending index order,
+    /// indexing the log before removal.
     ///
-    /// Survivors' events and fingerprints are untouched: this is only sound
-    /// when the caller has certified that no surviving projection changes
-    /// under the erasure (Lemma 6.7), which is exactly when the simulator's
-    /// in-place erase uses it.
-    pub(crate) fn erase_pids(&mut self, gone: &[bool]) {
-        self.flush_fingerprints();
-        self.events
-            .retain(|e| !gone.get(e.pid().index()).copied().unwrap_or(false));
-        self.fp_applied = self.events.len();
+    /// Survivors' projections and fingerprints are untouched: this is only
+    /// sound when the caller has certified that no surviving projection
+    /// changes under the erasure (Lemma 6.7), which is exactly when the
+    /// simulator's DSM surgery uses it.
+    pub(crate) fn erase_pids(&mut self, gone: &[bool], sees: &[(usize, Option<ProcId>)]) {
+        let mut fixes = sees.iter().peekable();
+        let mut kept = EventLog::default();
+        for (i, e) in self.events.iter().enumerate() {
+            if gone.get(e.pid().index()).copied().unwrap_or(false) {
+                continue;
+            }
+            let mut e = e.clone();
+            if let Some(&(_, q)) = fixes.next_if(|&&(at, _)| at == i) {
+                if let Event::Access { sees, .. } = &mut e {
+                    *sees = q;
+                }
+            }
+            kept.push(e);
+        }
+        self.events = kept;
         for (i, h) in self.proj_hash.iter_mut().enumerate() {
             if gone.get(i).copied().unwrap_or(false) {
                 *h = FP_EMPTY;
@@ -519,18 +415,11 @@ impl History {
 
     /// Rewinds to `len` events, resetting fingerprints to `hashes` (the
     /// fingerprint state recorded when the history had `len` events).
-    ///
-    /// Also switches the history into deferred-fold mode for good: a caller
-    /// that rewinds (the checkpoint-restore explorer) usually rolls pushed
-    /// events back before reading a fingerprint, so folding them eagerly at
-    /// push would be wasted work.
     pub(crate) fn rewind(&mut self, len: usize, hashes: &[u128]) {
         assert!(len <= self.events.len(), "rewind past the end");
         self.events.truncate(len);
         self.proj_hash.clear();
         self.proj_hash.extend_from_slice(hashes);
-        self.fp_applied = len;
-        self.lazy_fp = true;
     }
 
     /// The projected words of an event, or `None` for events outside the
@@ -552,47 +441,11 @@ impl History {
         }
     }
 
-    /// Folds every not-yet-applied log event into the rolling hashes.
-    fn flush_fingerprints(&mut self) {
-        let Self {
-            events,
-            proj_hash,
-            fp_applied,
-            ..
-        } = self;
-        events.for_each_from(*fp_applied, |e| {
-            if let Some((pid, words)) = Self::fp_words(e) {
-                let i = pid.index();
-                if proj_hash.len() <= i {
-                    proj_hash.resize(i + 1, FP_EMPTY);
-                }
-                let mut h = proj_hash[i];
-                for w in words {
-                    h = fp_absorb(h, w);
-                }
-                proj_hash[i] = h;
-            }
-        });
-        *fp_applied = events.len();
-    }
-
     /// The rolling fingerprint of [`History::projection`]`(pid)`. Equal
     /// fingerprints certify equal projections (up to hash collision).
-    /// Folds the (bounded) unapplied batch on the fly.
     #[must_use]
     pub fn fingerprint(&self, pid: ProcId) -> u128 {
-        let mut h = self.proj_hash.get(pid.index()).copied().unwrap_or(FP_EMPTY);
-        for e in self.events.iter_from(self.fp_applied) {
-            match Self::fp_words(e) {
-                Some((p, words)) if p == pid => {
-                    for w in words {
-                        h = fp_absorb(h, w);
-                    }
-                }
-                _ => {}
-            }
-        }
-        h
+        self.proj_hash.get(pid.index()).copied().unwrap_or(FP_EMPTY)
     }
 
     /// All per-process fingerprints (indexed by process; possibly shorter
@@ -609,49 +462,24 @@ impl History {
     pub fn fingerprints_into(&self, out: &mut Vec<u128>) {
         out.clear();
         out.extend_from_slice(&self.proj_hash);
-        for e in self.events.iter_from(self.fp_applied) {
-            if let Some((p, words)) = Self::fp_words(e) {
-                let i = p.index();
-                if out.len() <= i {
-                    out.resize(i + 1, FP_EMPTY);
-                }
-                let mut h = out[i];
-                for w in words {
-                    h = fp_absorb(h, w);
-                }
-                out[i] = h;
-            }
-        }
     }
 
-    /// Appends an event (used by the simulator). In the default eager mode
-    /// the event's projected words are folded into the rolling hashes right
-    /// here, while they are still in registers; in deferred mode (after the
-    /// first [`History::rewind`]) the fold runs later, in
-    /// [`PENDING_MAX`]-sized batches. Same values either way — the fold is
-    /// associative over the append order.
+    /// Appends an event (used by the simulator), folding its projected
+    /// words into the owning process's rolling hash.
     #[inline]
     pub(crate) fn push(&mut self, e: Event) {
-        if !self.lazy_fp {
-            if let Some((pid, words)) = Self::fp_words(&e) {
-                let i = pid.index();
-                if self.proj_hash.len() <= i {
-                    self.proj_hash.resize(i + 1, FP_EMPTY);
-                }
-                let mut h = self.proj_hash[i];
-                for w in words {
-                    h = fp_absorb(h, w);
-                }
-                self.proj_hash[i] = h;
+        if let Some((pid, words)) = Self::fp_words(&e) {
+            let i = pid.index();
+            if self.proj_hash.len() <= i {
+                self.proj_hash.resize(i + 1, FP_EMPTY);
             }
-            self.events.push(e);
-            self.fp_applied += 1;
-            return;
+            let mut h = self.proj_hash[i];
+            for w in words {
+                h = fp_absorb(h, w);
+            }
+            self.proj_hash[i] = h;
         }
         self.events.push(e);
-        if self.events.len() - self.fp_applied >= PENDING_MAX {
-            self.flush_fingerprints();
-        }
     }
 
     /// All events in order.
@@ -685,7 +513,6 @@ impl History {
     /// maintenance. For audit-layer tamper tests only.
     #[cfg(test)]
     pub(crate) fn events_mut(&mut self) -> impl Iterator<Item = &mut Event> {
-        self.flush_fingerprints();
         self.events.iter_mut()
     }
 
@@ -1150,71 +977,44 @@ mod tests {
         assert_eq!(mk(1).fingerprint(ProcId(0)), mk(1).fingerprint(ProcId(0)));
     }
 
+    /// Fingerprints track a hand-rolled reference fold at every read,
+    /// including across a `rewind` to a mid-sequence state followed by a
+    /// different continuation.
     #[test]
-    fn seeded_fingerprints_continue_a_prefix() {
-        let mut full = History::new();
-        full.push(access(0, 1, true, None, None));
-        let snap = full.fingerprints();
-        full.push(access(0, 2, false, None, None));
-
-        let mut suffix = History::seeded(snap);
-        suffix.push(access(0, 2, false, None, None));
-        assert_eq!(suffix.fingerprint(ProcId(0)), full.fingerprint(ProcId(0)));
-
-        let spliced = History::spliced(&full, 1, suffix);
-        assert_eq!(spliced.to_vec(), full.to_vec());
-        assert_eq!(spliced.fingerprint(ProcId(0)), full.fingerprint(ProcId(0)));
-    }
-
-    /// The fold mode must be invisible: a default (eager-fold) history and
-    /// one switched to deferred batching by `rewind` agree with a hand-rolled
-    /// reference at every read — mid-batch, at the flush boundary, and after
-    /// an explicit flush.
-    #[test]
-    fn batched_fingerprints_match_eager_reference() {
+    fn fingerprints_match_reference_across_rewind() {
         let mut rng = crate::rng::XorShift64::new(0xBA7C);
         let mut h = History::new();
-        let mut lazy = History::new();
-        lazy.rewind(0, &[]); // switch to deferred-fold mode
-        assert!(lazy.lazy_fp && !h.lazy_fp);
-        let mut eager: Vec<u128> = Vec::new();
-        for i in 0..(PENDING_MAX * 3 + 7) {
+        let mut reference: Vec<u128> = Vec::new();
+        let mut saved = None;
+        for i in 0..200 {
+            if i == 100 {
+                saved = Some((h.len(), h.fingerprints(), reference.clone()));
+            }
+            if i == 150 {
+                let (len, hashes, r) = saved.take().expect("saved at 100");
+                h.rewind(len, &hashes);
+                reference = r;
+            }
             let pid = rng.below(4) as u32;
             let e = access(pid, rng.below(3) as u32, rng.chance(1, 2), None, None);
             if let Some((p, words)) = History::fp_words(&e) {
                 let j = p.index();
-                if eager.len() <= j {
-                    eager.resize(j + 1, FP_EMPTY);
+                if reference.len() <= j {
+                    reference.resize(j + 1, FP_EMPTY);
                 }
                 for w in words {
-                    eager[j] = fp_absorb(eager[j], w);
+                    reference[j] = fp_absorb(reference[j], w);
                 }
             }
-            h.push(e.clone());
-            lazy.push(e);
-            assert_eq!(h.fp_applied, h.len(), "eager mode never lags");
-            if i % 17 == 0 {
+            h.push(e);
+            if i % 17 == 0 || i == 150 {
                 for p in 0..4u32 {
-                    let want = eager.get(p as usize).copied().unwrap_or(FP_EMPTY);
-                    assert_eq!(h.fingerprint(ProcId(p)), want, "eager read at {i}");
-                    assert_eq!(lazy.fingerprint(ProcId(p)), want, "mid-batch read at {i}");
+                    let want = reference.get(p as usize).copied().unwrap_or(FP_EMPTY);
+                    assert_eq!(h.fingerprint(ProcId(p)), want, "read at {i}");
                 }
             }
         }
-        assert!(lazy.fp_applied >= PENDING_MAX * 3, "batch flushes ran");
-        h.flush_fingerprints();
-        lazy.flush_fingerprints();
-        for p in 0..4u32 {
-            let want = eager.get(p as usize).copied().unwrap_or(FP_EMPTY);
-            assert_eq!(h.fingerprint(ProcId(p)), want, "post-flush read");
-            assert_eq!(lazy.fingerprint(ProcId(p)), want, "post-flush lazy read");
-        }
-        let all = h.fingerprints();
-        let all_lazy = lazy.fingerprints();
-        for p in 0..4usize {
-            assert_eq!(all[p], eager[p]);
-            assert_eq!(all_lazy[p], eager[p]);
-        }
+        assert_eq!(h.fingerprints(), reference);
     }
 
     /// The chunked log behaves exactly like a flat `Vec` across chunk

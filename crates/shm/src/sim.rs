@@ -143,7 +143,8 @@ pub(crate) struct ProcState {
     pub(crate) stats: ProcStats,
 }
 
-/// An injected call, recorded so filtered replay can re-apply it.
+/// An injected call, recorded so the re-step erasure path and the audit can
+/// re-apply it.
 ///
 /// `at` is the schedule position the injection preceded: the call was
 /// injected after schedule entry `at - 1` executed and before entry `at`.
@@ -161,10 +162,10 @@ pub(crate) struct Injection {
 /// simulator).
 ///
 /// Taken every [`Simulator::enable_checkpoints`] interval during recording,
-/// checkpoints let an erasure replay only the schedule suffix after the
-/// erased process's first step ([`Simulator::filtered_replay`]) instead of
-/// the whole execution — the incremental replay engine the lower-bound
-/// adversary runs on.
+/// checkpoints let [`Simulator::erase_certified_in_place`] start from the
+/// latest state before the erased processes' first step instead of from
+/// scratch — the re-step path restores one, the DSM event walk seeds its
+/// memory image from one — and shard the audit's re-execution.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     schedule_len: usize,
@@ -214,6 +215,19 @@ impl Checkpoint {
     }
 }
 
+/// Whether `pid` performing `op` against `memory` *sees* another process
+/// (Definition 6.4): the cell's last writer, if distinct from `pid`, for
+/// every value-returning operation. Must be taken before the access
+/// mutates the cell.
+#[inline]
+fn sees_of(memory: &Memory, pid: ProcId, op: &Op) -> Option<ProcId> {
+    if matches!(op, Op::Write(..)) {
+        None
+    } else {
+        memory.last_writer(op.addr()).filter(|&q| q != pid)
+    }
+}
+
 /// Deterministic shared-memory simulator.
 ///
 /// A `Simulator` advances processes one step at a time under the control of
@@ -246,11 +260,9 @@ impl Checkpoint {
 pub struct Simulator {
     memory: Memory,
     cost: CostState,
-    /// Per-process machines, copy-on-write: snapshots and replays share
-    /// them by refcount, and [`Arc::make_mut`] clones a process's state
-    /// only when it actually steps. An early-aborting certification replay
-    /// therefore deep-clones just the processes that move before the
-    /// divergence, not all `n`.
+    /// Per-process machines, copy-on-write: clones, snapshots and restores
+    /// share them by refcount, and [`Arc::make_mut`] clones a process's
+    /// state only when it actually steps.
     procs: Vec<Arc<ProcState>>,
     history: History,
     schedule: Vec<ProcId>,
@@ -260,14 +272,14 @@ pub struct Simulator {
     first_touch: Vec<Option<usize>>,
     /// `first_write[p]` = schedule index of p's first *nontrivial* (memory-
     /// mutating) access, if any. Trivial accesses touch no survivor-visible
-    /// state, so a certification replay only needs to re-execute from here
-    /// rather than from the process's first step (see `replay_tail`).
+    /// state, so the DSM erasure walk only needs to start from here rather
+    /// than from the process's first step.
     first_write: Vec<Option<usize>>,
     /// Injected calls in injection order (`at` is nondecreasing).
     injections: Vec<Injection>,
-    /// Periodic snapshots in increasing `schedule_len` order. `Rc` so
-    /// replayed simulators can carry the prefix checkpoints by reference
-    /// instead of deep-cloning O(checkpoints x live state) per erasure.
+    /// Periodic snapshots in increasing `schedule_len` order. `Arc` so a
+    /// clone (such as the re-step path's working copy) carries them by
+    /// reference instead of deep-cloning O(checkpoints x live state).
     checkpoints: Vec<Arc<Checkpoint>>,
     /// Steps between snapshots; 0 = checkpointing disabled.
     ckpt_interval: usize,
@@ -344,8 +356,8 @@ impl Simulator {
     /// Turns on periodic checkpointing every `interval` steps (0 disables).
     ///
     /// An initial checkpoint of the *current* state is taken immediately, so
-    /// incremental replay always has a base to start from even when the
-    /// erased process's first step predates every periodic snapshot.
+    /// erasure always has a base to start from even when the erased
+    /// process's first step predates every periodic snapshot.
     pub fn enable_checkpoints(&mut self, interval: usize) {
         self.ckpt_interval = interval;
         if interval > 0 && self.checkpoints.is_empty() {
@@ -364,12 +376,6 @@ impl Simulator {
     #[must_use]
     pub fn checkpoint_count(&self) -> usize {
         self.checkpoints.len()
-    }
-
-    /// Schedule index of `pid`'s first step, if it has taken one.
-    #[must_use]
-    pub fn first_step_of(&self, pid: ProcId) -> Option<usize> {
-        self.first_touch[pid.index()]
     }
 
     /// Captures the current execution state as an O(live-state) checkpoint.
@@ -493,365 +499,68 @@ impl Simulator {
         self.checkpoints.push(Arc::new(snap));
     }
 
-    /// Builds a simulator resuming from `ckpt`, with this simulator's
-    /// schedule prefix and per-checkpoint bookkeeping carried over.
-    fn resume_at(&self, ckpt: &Checkpoint) -> Simulator {
-        Simulator {
-            memory: ckpt.memory.clone(),
-            cost: ckpt.cost.clone(),
-            procs: ckpt.procs.clone(),
-            history: History::seeded(ckpt.proj_hash.clone()),
-            schedule: self.schedule[..ckpt.schedule_len].to_vec(),
-            totals: ckpt.totals,
-            injected: ckpt.injected,
-            first_touch: ckpt.first_touch.clone(),
-            first_write: ckpt.first_write.clone(),
-            injections: self.injections[..ckpt.injections_len].to_vec(),
-            checkpoints: self
-                .checkpoints
-                .iter()
-                .filter(|c| c.schedule_len <= ckpt.schedule_len)
-                .cloned()
-                .collect(),
-            ckpt_interval: self.ckpt_interval,
-        }
-    }
-
-    /// Replays this simulator's recorded schedule with `erased` filtered
-    /// out, starting from the latest checkpoint that precedes every erased
-    /// process's first step (and every injection targeting an erased
-    /// process). Injections into surviving processes are re-applied at their
-    /// recorded positions.
-    ///
-    /// Returns `(replayed, start, prefix_events)`: the replayed simulator,
-    /// the schedule position it resumed from, and the length (in events) of
-    /// the shared history prefix it did *not* re-execute. The returned
-    /// simulator's history holds only suffix events, with fingerprints
-    /// covering prefix + suffix. Use [`Simulator::filtered_replay`] for a
-    /// spliced full history.
-    ///
-    /// With `certify`, the replay additionally checks — online, event by
-    /// event — that every surviving process reproduces its recorded
-    /// projection, returning `None` at the *first* divergent event. This is
-    /// what makes refused erasures cheap: an FAA-entangled survivor
-    /// diverges within a few steps of the splice point, so the adversary
-    /// pays O(divergence) instead of O(history) to learn the erasure is
-    /// unsound.
-    fn replay_tail(
-        &self,
-        spec: &SimSpec,
-        erased: &BTreeSet<ProcId>,
-        certify: bool,
-    ) -> Option<(Simulator, usize, usize)> {
-        // The replay diverges from the recorded execution at the first
-        // schedule position where an erased process acted or was injected
-        // into; any checkpoint at or before that point is still valid.
+    /// Where erasing the processes marked in `gone` first changes the
+    /// recorded execution: the earliest schedule position an erased process
+    /// stepped at or was injected into, and the index of the first injection
+    /// into an erased process. A checkpoint at or before both is a state of
+    /// the erased execution too.
+    fn splice_point(&self, gone: &[bool]) -> (usize, usize) {
         let mut splice = self.schedule.len();
-        for &pid in erased {
-            if let Some(t) = self.first_touch[pid.index()] {
+        for (&g, &first) in gone.iter().zip(&self.first_touch) {
+            if let (true, Some(t)) = (g, first) {
                 splice = splice.min(t);
             }
         }
-        for inj in &self.injections {
-            if erased.contains(&inj.pid) {
-                splice = splice.min(inj.at);
-            }
-        }
-        let base = self
-            .checkpoints
+        let first_inj = self
+            .injections
             .iter()
-            .rev()
-            .find(|c| c.schedule_len <= splice);
-        if certify {
-            // Survivor-visible state can only diverge at an erased process's
-            // first *nontrivial* access: trivial accesses change no value,
-            // writer, or other process's reservation. So the certification
-            // verdict from any checkpoint at or before that point is exact.
-            // When such a checkpoint is strictly later than `base`, run a
-            // throwaway certification probe from it first — a refusal then
-            // costs a fraction of the full suffix — and re-execute the real
-            // suffix (which must start before the erased processes' first
-            // steps so their events vanish from the log) only on acceptance.
-            let mut wsplice = self.schedule.len();
-            for &pid in erased {
-                if let Some(t) = self.first_write[pid.index()] {
-                    wsplice = wsplice.min(t);
-                }
-            }
-            let wbase = self
-                .checkpoints
-                .iter()
-                .rev()
-                .find(|c| c.schedule_len <= wsplice);
-            if wbase.map_or(0, |c| c.schedule_len) > base.map_or(0, |c| c.schedule_len) {
-                self.run_filtered(spec, wbase.map(Arc::as_ref), erased, true, true)?;
-                return self.run_filtered(spec, base.map(Arc::as_ref), erased, false, false);
-            }
+            .position(|inj| gone[inj.pid.index()])
+            .unwrap_or(self.injections.len());
+        if let Some(inj) = self.injections.get(first_inj) {
+            splice = splice.min(inj.at);
         }
-        self.run_filtered(spec, base.map(Arc::as_ref), erased, certify, false)
+        (splice, first_inj)
     }
 
-    /// The filtered-replay loop behind [`Simulator::replay_tail`]: replays
-    /// this simulator's recorded schedule from `base` (or from scratch) with
-    /// `erased` filtered out, re-applying injections into survivors at their
-    /// recorded positions. With `certify`, every emitted event is compared
-    /// online against the recorded log and the first divergence returns
-    /// `None`. With `probe`, the replayed simulator skips checkpointing
-    /// (used for throwaway certification passes whose state is discarded).
-    fn run_filtered(
-        &self,
-        spec: &SimSpec,
-        base: Option<&Checkpoint>,
-        erased: &BTreeSet<ProcId>,
-        certify: bool,
-        probe: bool,
-    ) -> Option<(Simulator, usize, usize)> {
-        let mut sim = match base {
-            Some(c) => self.resume_at(c),
-            None => {
-                let mut fresh = Simulator::new(spec);
-                fresh.enable_checkpoints(self.ckpt_interval);
-                fresh
-            }
-        };
-        if probe {
-            sim.ckpt_interval = 0;
-        }
-        let start = sim.schedule.len();
-        let prefix_events = base.map_or(0, |c| c.history_len);
-        let recorded = &self.history;
-        // Certification cursors: `produced` into the replayed suffix log,
-        // `expect` into the recorded log (skipping erased processes'
-        // events, which the filtered replay must not reproduce).
-        let mut produced = 0usize;
-        let mut expect = prefix_events;
-        // `at` is nondecreasing, so the first injection to re-apply is the
-        // first one at position >= start.
-        let mut next_inj = self.injections.partition_point(|inj| inj.at < start);
-        for i in start..self.schedule.len() {
-            while next_inj < self.injections.len() && self.injections[next_inj].at <= i {
-                let inj = &self.injections[next_inj];
-                next_inj += 1;
-                if !erased.contains(&inj.pid) {
-                    sim.inject_call(inj.pid, inj.call.clone());
-                }
-            }
-            let pid = self.schedule[i];
-            if !erased.contains(&pid) {
-                let _ = sim.step(pid);
-            }
-            if certify
-                && !Self::certify_drain(recorded, erased, &sim.history, &mut produced, &mut expect)
-            {
-                return None;
-            }
-        }
-        // Injections recorded after the last schedule entry.
-        while next_inj < self.injections.len() {
-            let inj = &self.injections[next_inj];
-            next_inj += 1;
-            if !erased.contains(&inj.pid) {
-                sim.inject_call(inj.pid, inj.call.clone());
-            }
-        }
-        if certify {
-            if !Self::certify_drain(recorded, erased, &sim.history, &mut produced, &mut expect) {
-                return None;
-            }
-            // The replay consumed the whole filtered schedule; any surviving
-            // projected event still unmatched in the recording means the
-            // replay produced *fewer* events than recorded — divergence.
-            while expect < recorded.len() {
-                let e = recorded.event(expect);
-                if !erased.contains(&e.pid()) && Self::event_projects(e) {
-                    return None;
-                }
-                expect += 1;
-            }
-        }
-        Some((sim, start, prefix_events))
-    }
-
-    /// Whether an event contributes to a process's projection (mirrors
-    /// [`History::projection`]: `Terminate`/`Crash` do not project).
-    fn event_projects(e: &Event) -> bool {
-        !matches!(e, Event::Terminate { .. } | Event::Crash { .. })
-    }
-
-    /// Projection-level equality of two events: same process and same
-    /// projected content. Cost, `sees`/`touches` attribution and the
-    /// `wrote` flag may legitimately differ under erasure (they depend on
-    /// the erased processes' accesses, not on the survivor's own view), so
-    /// they are excluded — exactly as in [`History::projection`].
-    fn same_projected(a: &Event, b: &Event) -> bool {
-        match (a, b) {
-            (
-                Event::Invoke {
-                    pid: p1, kind: k1, ..
-                },
-                Event::Invoke {
-                    pid: p2, kind: k2, ..
-                },
-            ) => p1 == p2 && k1 == k2,
-            (
-                Event::Return {
-                    pid: p1,
-                    kind: k1,
-                    value: v1,
-                },
-                Event::Return {
-                    pid: p2,
-                    kind: k2,
-                    value: v2,
-                },
-            ) => p1 == p2 && k1 == k2 && v1 == v2,
-            (
-                Event::Access {
-                    pid: p1,
-                    op: o1,
-                    result: r1,
-                    ..
-                },
-                Event::Access {
-                    pid: p2,
-                    op: o2,
-                    result: r2,
-                    ..
-                },
-            ) => p1 == p2 && o1 == o2 && r1 == r2,
-            _ => false,
-        }
-    }
-
-    /// Advances the online certification cursors over events the replay
-    /// emitted since the last drain, matching each against the next
-    /// surviving projected event of the recording. Returns `false` on the
-    /// first mismatch.
-    fn certify_drain(
-        recorded: &History,
-        erased: &BTreeSet<ProcId>,
-        suffix: &History,
-        produced: &mut usize,
-        expect: &mut usize,
-    ) -> bool {
-        while *produced < suffix.len() {
-            let e = suffix.event(*produced);
-            *produced += 1;
-            if !Self::event_projects(e) {
-                continue;
-            }
-            while *expect < recorded.len()
-                && (erased.contains(&recorded.event(*expect).pid())
-                    || !Self::event_projects(recorded.event(*expect)))
-            {
-                *expect += 1;
-            }
-            if *expect >= recorded.len() || !Self::same_projected(e, recorded.event(*expect)) {
-                return false;
-            }
-            *expect += 1;
-        }
-        true
-    }
-
-    /// After a suffix replay is spliced onto a prefix of `prefix_events`
-    /// events, checkpoints created *during* the suffix replay (those past
-    /// `start`) recorded history lengths relative to the seeded (empty)
-    /// suffix log; rebase them onto the spliced log.
-    fn rebase_suffix_checkpoints(sim: &mut Simulator, start: usize, prefix_events: usize) {
-        for c in &mut sim.checkpoints {
-            if c.schedule_len > start {
-                Arc::make_mut(c).history_len += prefix_events;
-            }
-        }
-    }
-
-    /// Incremental form of [`Simulator::replay`]: replays this simulator's
-    /// own recorded schedule (and injections) with `erased` filtered out,
-    /// reusing the longest valid checkpointed prefix instead of starting
-    /// from scratch.
+    /// Erases `batch` from this execution if no surviving process can tell
+    /// (Lemma 6.7's soundness condition: every surviving projection is
+    /// unchanged). On success the erasure is applied to `self` and the
+    /// result equals [`Simulator::replay`] of the schedule without `batch`;
+    /// on refusal (`false`) `self` is unchanged.
     ///
-    /// The returned simulator's history is the full spliced event log
-    /// (prefix events verbatim + re-executed suffix), and its state is
-    /// exactly what [`Simulator::replay`] would produce — verified by the
-    /// determinism-contract tests.
-    #[must_use]
-    pub fn filtered_replay(&self, spec: &SimSpec, erased: &BTreeSet<ProcId>) -> Simulator {
-        let (mut sim, start, prefix_events) = self
-            .replay_tail(spec, erased, false)
-            .expect("uncertified replay cannot fail");
-        if prefix_events > 0 {
-            let suffix = std::mem::take(&mut sim.history);
-            sim.history = History::spliced(&self.history, prefix_events, suffix);
-            Self::rebase_suffix_checkpoints(&mut sim, start, prefix_events);
-        }
-        sim
-    }
-
-    /// Attempts to erase `batch` from this execution, certifying that every
-    /// surviving process's projection is unchanged (Lemma 6.7's soundness
-    /// condition). Returns the replayed simulator on success, `None` if any
-    /// survivor's projection differs.
+    /// The path is picked from the cost model:
     ///
-    /// Certification is streamed: the replay compares every event it emits
-    /// against the recorded log as it goes and aborts at the first
-    /// divergence, so a refused erasure costs O(steps to divergence), not
-    /// O(history). The per-process rolling-hash fingerprints double-check
-    /// the accepted result in O(1) per process, and an exact projection
-    /// cross-check runs in debug builds (or in release builds when the
-    /// `exact-fingerprints` cargo feature is enabled).
-    #[must_use]
-    pub fn erase_certified(&self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> Option<Simulator> {
-        let (tail, start, prefix_events) = self.replay_tail(spec, batch, true)?;
-        let survives = (0..self.n()).map(|i| ProcId(i as u32)).all(|p| {
-            batch.contains(&p) || tail.history.fingerprint(p) == self.history.fingerprint(p)
-        });
-        if !survives {
-            return None;
-        }
-        let mut sim = tail;
-        if prefix_events > 0 {
-            let suffix = std::mem::take(&mut sim.history);
-            sim.history = History::spliced(&self.history, prefix_events, suffix);
-            Self::rebase_suffix_checkpoints(&mut sim, start, prefix_events);
-        }
-        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-        for i in 0..self.n() {
-            let p = ProcId(i as u32);
-            if !batch.contains(&p) {
-                assert_eq!(
-                    sim.history.projection(p),
-                    self.history.projection(p),
-                    "fingerprint collision: projection of {p} changed under erasure"
-                );
-            }
-        }
-        Some(sim)
-    }
-
-    /// In-place form of [`Simulator::erase_certified`], the one the
-    /// adversary's hot loop uses. On success the erasure is applied to
-    /// `self`; on refusal (`false`) `self` is unchanged.
+    /// * **DSM** — an event walk, no step machine re-executed. A survivor's
+    ///   machine state is a function of the results it has observed, so it
+    ///   suffices to re-apply the recorded `Access` ops of survivors against
+    ///   a filtered memory image (seeded from the latest checkpoint
+    ///   preceding the erased processes' first nontrivial access) and
+    ///   compare each result with the recording: the first mismatch is
+    ///   exactly the first projection divergence, and a mismatch-free walk
+    ///   proves every surviving projection unchanged. Acceptance is applied
+    ///   by surgery — memory takes the walk's image, the erased events and
+    ///   steps are filtered out of the log and schedule, survivors' `sees`
+    ///   attributions are recomputed against the filtered image, and the
+    ///   erased machines reset. DSM access costs depend only on the static
+    ///   cell placement, so survivor stats are reused verbatim.
+    /// * **CC models** — re-execution of the schedule suffix from the latest
+    ///   checkpoint at or before the splice point, since erasing a process
+    ///   rewrites cache-validity history and every later charge must be
+    ///   re-derived.
     ///
-    /// Under the DSM model this runs entirely at the event level — no step
-    /// machine is re-executed. A survivor's machine state is a function of
-    /// the results it has observed, so it suffices to re-apply the recorded
-    /// `Access` ops of survivors against a filtered memory image (seeded
-    /// from the latest checkpoint preceding the erased processes' first
-    /// nontrivial write) and compare each result with the recording: the
-    /// first mismatch is exactly the first projection divergence, and a
-    /// mismatch-free walk proves every surviving projection is unchanged
-    /// (Lemma 6.7's condition). Acceptance is then applied by surgery —
-    /// memory takes the walk's image, the erased events/steps are filtered
-    /// out of the log and schedule, and the erased machines reset — instead
-    /// of replaying the execution. DSM access costs depend only on the
-    /// static cell placement, so survivor stats are reused verbatim; under
-    /// CC models (where erasure changes cache-validity history) this falls
-    /// back to the replay-based path.
+    /// In debug builds (or with the `exact-fingerprints` cargo feature) the
+    /// DSM surgery is cross-checked against the re-step path, and the
+    /// re-step path's fingerprint verdict against an exact projection
+    /// comparison.
     pub fn erase_certified_in_place(&mut self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> bool {
         let _span = shm_obs::Span::enter("sim.erase");
+        let n = self.n();
+        let mut gone = vec![false; n];
+        for &pid in batch {
+            gone[pid.index()] = true;
+        }
         if self.cost.model() != CostModel::Dsm {
-            let ok = self.erase_certified_in_place_replay(spec, batch);
+            let ok = self.erase_by_restep(spec, &gone);
             shm_obs::count(if ok { "erase.replay" } else { "erase.refused" }, 1);
             return ok;
         }
@@ -860,26 +569,7 @@ impl Simulator {
         #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
         shm_obs::counter!("fingerprint.exact_check");
 
-        let n = self.n();
-        let mut gone = vec![false; n];
-        for &pid in batch {
-            gone[pid.index()] = true;
-        }
-        // First schedule position an erased process acted on or was injected
-        // into: checkpoints at or before it stay valid after the surgery.
-        let mut splice = self.schedule.len();
-        for &pid in batch {
-            if let Some(t) = self.first_touch[pid.index()] {
-                splice = splice.min(t);
-            }
-        }
-        let mut first_gone_inj = self.injections.len();
-        for (k, inj) in self.injections.iter().enumerate() {
-            if gone[inj.pid.index()] {
-                splice = splice.min(inj.at);
-                first_gone_inj = first_gone_inj.min(k);
-            }
-        }
+        let (splice, first_gone_inj) = self.splice_point(&gone);
         // Survivor-visible values can only diverge at an erased process's
         // first nontrivial access; walk from the latest checkpoint before
         // that point.
@@ -901,25 +591,37 @@ impl Simulator {
         // Certification walk: re-apply survivors' recorded accesses against
         // the filtered memory. Invoke/Return/Terminate events are machine-
         // internal — they cannot change while every observed result is
-        // unchanged — so only Access events are checked.
-        for e in self.history.events_from(start_events) {
+        // unchanged — so only Access events are checked. A survivor may see
+        // a different (surviving) last writer with an unchanged result, so
+        // `sees` is recomputed here; `touches` (the static owner) and `wrote`
+        // (a function of op and result) cannot change.
+        let mut sees_fixes: Vec<(usize, Option<ProcId>)> = Vec::new();
+        for (k, e) in self.history.events_from(start_events).enumerate() {
             if let Event::Access {
-                pid, op, result, ..
+                pid,
+                op,
+                result,
+                sees,
+                ..
             } = e
             {
                 if gone[pid.index()] {
                     continue;
                 }
+                let now_sees = sees_of(&mem, *pid, op);
+                if now_sees != *sees {
+                    sees_fixes.push((start_events + k, now_sees));
+                }
                 let applied = mem.apply(*pid, *op);
                 if applied.result != *result {
                     #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
                     {
-                        // Suppress recording: the shadow replay is a pure
+                        // Suppress recording: the shadow re-step is a pure
                         // cross-check, not part of the execution's cost.
                         let _quiet = shm_obs::suppress();
                         assert!(
-                            !shadow.erase_certified_in_place_replay(spec, batch),
-                            "event-walk refused an erasure the replay path accepts"
+                            !shadow.erase_by_restep(spec, &gone),
+                            "event-walk refused an erasure the re-step path accepts"
                         );
                     }
                     shm_obs::counter!("erase.refused");
@@ -986,7 +688,7 @@ impl Simulator {
             }
         });
         self.injected -= dropped_inj;
-        self.history.erase_pids(&gone);
+        self.history.erase_pids(&gone, &sees_fixes);
         // Checkpoints past the splice captured erased-process state; drop
         // them (recording rebuilds coverage as stepping continues). The
         // retained ones precede every erased step and injection, so their
@@ -996,11 +698,11 @@ impl Simulator {
 
         #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
         {
-            // Suppress recording: the shadow replay is a pure cross-check.
+            // Suppress recording: the shadow re-step is a pure cross-check.
             let _quiet = shm_obs::suppress();
             assert!(
-                shadow.erase_certified_in_place_replay(spec, batch),
-                "event-walk accepted an erasure the replay path refuses"
+                shadow.erase_by_restep(spec, &gone),
+                "event-walk accepted an erasure the re-step path refuses"
             );
             assert_eq!(
                 shadow.history.to_vec(),
@@ -1043,103 +745,74 @@ impl Simulator {
         true
     }
 
-    /// Replay-based fallback behind [`Simulator::erase_certified_in_place`]:
-    /// certifies by checkpointed filtered re-execution, then keeps the
-    /// untouched history prefix in place and adopts only the re-executed
-    /// suffix — O(n + suffix), with *no* O(history) splice copy. Used under
-    /// CC cost models, where erasing a process rewrites cache-validity
-    /// history and per-access costs must be re-derived.
-    fn erase_certified_in_place_replay(
-        &mut self,
-        spec: &SimSpec,
-        batch: &BTreeSet<ProcId>,
-    ) -> bool {
-        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-        shm_obs::counter!("fingerprint.exact_check");
-        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-        let before: Vec<Vec<crate::event::ProjectedEvent>> = (0..self.n())
-            .map(|i| self.history.projection(ProcId(i as u32)))
-            .collect();
-        let Some((tail, start, prefix_events)) = self.replay_tail(spec, batch, true) else {
-            return false;
-        };
-        let survives = (0..self.n()).map(|i| ProcId(i as u32)).all(|p| {
-            batch.contains(&p) || tail.history.fingerprint(p) == self.history.fingerprint(p)
-        });
-        if !survives {
-            return false;
-        }
-        let mut tail = tail;
-        Self::rebase_suffix_checkpoints(&mut tail, start, prefix_events);
-        self.memory = tail.memory;
-        self.cost = tail.cost;
-        self.procs = tail.procs;
-        self.totals = tail.totals;
-        self.injected = tail.injected;
-        self.first_touch = tail.first_touch;
-        self.first_write = tail.first_write;
-        self.injections = tail.injections;
-        self.schedule = tail.schedule;
-        self.checkpoints = tail.checkpoints;
-        self.history.splice_tail(prefix_events, tail.history);
-        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-        for (i, recorded) in before.iter().enumerate().take(self.n()) {
-            let p = ProcId(i as u32);
-            if !batch.contains(&p) {
-                assert_eq!(
-                    &self.history.projection(p),
-                    recorded,
-                    "fingerprint collision: projection of {p} changed under erasure"
-                );
+    /// The re-step erasure path behind [`Simulator::erase_certified_in_place`]
+    /// (CC models, and the reference the DSM surgery is checked against):
+    /// restores a copy of `self` to the latest checkpoint at or before the
+    /// splice point (or starts afresh when there is none), re-steps the recorded
+    /// schedule suffix without the `gone` processes — re-applying survivors'
+    /// injections at their recorded positions — and adopts the copy only if
+    /// every survivor's projection fingerprint is unchanged.
+    fn erase_by_restep(&mut self, spec: &SimSpec, gone: &[bool]) -> bool {
+        let (splice, first_inj) = self.splice_point(gone);
+        let base = self
+            .checkpoints
+            .iter()
+            .rev()
+            .find(|c| c.schedule_len <= splice && c.injections_len <= first_inj);
+        let mut sim = match base {
+            Some(c) => {
+                let mut sim = self.clone();
+                sim.restore(c);
+                sim
             }
-        }
-        true
-    }
-
-    /// Replays from an explicit checkpoint: restores `ckpt`'s state and then
-    /// executes `suffix` (schedule entries recorded after the checkpoint),
-    /// skipping processes in `erased`. Injections recorded between the
-    /// checkpoint and the end of the original execution are re-applied at
-    /// their positions (unless targeting an erased process).
-    ///
-    /// The returned simulator's history covers only the replayed suffix; its
-    /// fingerprints cover the whole (prefix + suffix) projection, seeded
-    /// from the checkpoint.
-    #[must_use]
-    pub fn replay_from(
-        &self,
-        ckpt: &Checkpoint,
-        suffix: &[ProcId],
-        erased: &BTreeSet<ProcId>,
-    ) -> Simulator {
-        let _span = shm_obs::Span::enter("sim.replay_from");
-        let mut replayed = 0u64;
-        let mut sim = self.resume_at(ckpt);
-        let start = ckpt.schedule_len;
-        let mut next_inj = self.injections.partition_point(|inj| inj.at < start);
-        for (k, &pid) in suffix.iter().enumerate() {
-            let i = start + k;
-            while next_inj < self.injections.len() && self.injections[next_inj].at <= i {
-                let inj = &self.injections[next_inj];
+            None => {
+                let mut sim = Simulator::new(spec);
+                sim.enable_checkpoints(self.ckpt_interval);
+                sim
+            }
+        };
+        let mut next_inj = sim.injections.len();
+        let mut stepped = 0u64;
+        for i in sim.schedule.len()..self.schedule.len() {
+            while let Some(inj) = self.injections.get(next_inj).filter(|inj| inj.at <= i) {
                 next_inj += 1;
-                if !erased.contains(&inj.pid) {
+                if !gone[inj.pid.index()] {
                     sim.inject_call(inj.pid, inj.call.clone());
                 }
             }
-            if !erased.contains(&pid) {
+            let pid = self.schedule[i];
+            if !gone[pid.index()] {
                 let _ = sim.step(pid);
-                replayed += 1;
+                stepped += 1;
             }
         }
-        shm_obs::counter!("replay.steps", replayed);
-        while next_inj < self.injections.len() {
-            let inj = &self.injections[next_inj];
-            next_inj += 1;
-            if !erased.contains(&inj.pid) {
+        // Injections recorded after the last schedule entry.
+        for inj in &self.injections[next_inj..] {
+            if !gone[inj.pid.index()] {
                 sim.inject_call(inj.pid, inj.call.clone());
             }
         }
-        sim
+        shm_obs::counter!("replay.steps", stepped);
+        let survivors = || {
+            (0..self.n())
+                .filter(|&i| !gone[i])
+                .map(|i| ProcId(i as u32))
+        };
+        let ok = survivors().all(|p| sim.history.fingerprint(p) == self.history.fingerprint(p));
+        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
+        {
+            shm_obs::counter!("fingerprint.exact_check");
+            let exact =
+                survivors().all(|p| sim.history.projection(p) == self.history.projection(p));
+            assert_eq!(
+                ok, exact,
+                "fingerprint verdict disagrees with the exact projection comparison"
+            );
+        }
+        if ok {
+            *self = sim;
+        }
+        ok
     }
 
     /// Number of processes.
@@ -1384,12 +1057,7 @@ impl Simulator {
                 // `sees` must be computed from the cell's last writer
                 // *before* the access mutates it.
                 let addr = op.addr();
-                let observes_value = !matches!(op, Op::Write(..));
-                let sees = if observes_value {
-                    memory.last_writer(addr).filter(|&q| q != pid)
-                } else {
-                    None
-                };
+                let sees = sees_of(memory, pid, &op);
                 let touches = memory.owner(addr).filter(|&q| q != pid);
                 let applied = memory.apply(pid, op);
                 if applied.nontrivial && first_write[pid.index()].is_none() {
@@ -1545,14 +1213,8 @@ impl Simulator {
     /// decide whether to erase a process *before* letting a step happen.
     #[must_use]
     pub fn op_observation(&self, pid: ProcId, op: &Op) -> (Option<ProcId>, Option<ProcId>) {
-        let addr = op.addr();
-        let sees = if matches!(op, Op::Write(..)) {
-            None
-        } else {
-            self.memory.last_writer(addr).filter(|&q| q != pid)
-        };
-        let touches = self.memory.owner(addr).filter(|&q| q != pid);
-        (sees, touches)
+        let touches = self.memory.owner(op.addr()).filter(|&q| q != pid);
+        (sees_of(&self.memory, pid, op), touches)
     }
 
     /// Injects a procedure call into `pid`, reviving it if it had terminated.
