@@ -1,50 +1,11 @@
-//! Tiny shared argument helpers for the experiment binaries.
-//!
-//! The binaries stay dependency-free (no clap); these helpers cover the two
-//! patterns they share: `--flag value` extraction and the `--threads N`
-//! convention (an explicit `--threads` overrides the `CC_DSM_THREADS`
-//! environment variable, which overrides available parallelism — resolution
-//! lives in [`shm_pool::threads`]).
+//! The observability sinks of the `cc-dsm` front end: [`ObsFlags`] names
+//! the requested outputs (the front end's argv parser fills it in),
+//! [`obs_install`] installs the recorder before an experiment runs, and
+//! [`obs_finish`] writes the sinks and uninstalls it afterwards.
 
-// The pure parsing helpers live in `shm-scenario` now (shared with the
-// `shm-serve` job server); re-exported so existing `bench::cli` paths keep
-// working. `manifest_from_args` is the structured-validation entry the
-// binaries use to reject bad scenario flags up front.
-pub use shm_scenario::cli::{
-    manifest_from_args, mem_budget_of, parse_bytes, sizes_of, try_parse_bytes, value_of,
-};
-
-/// Parses the scenario flags into a validated, normalized manifest of
-/// `kind`, or prints the structured `cc-dsm/error/v1` JSON error on stderr
-/// and exits 2. Every `exp_*` binary goes through this, so duplicate or
-/// out-of-range `--sizes` (and out-of-range `--n`, `--waiters`, …) are
-/// rejected up front instead of panicking deep inside a sweep.
-#[must_use]
-pub fn manifest_or_exit(
-    kind: shm_scenario::ExperimentKind,
-    args: &[String],
-) -> shm_scenario::Manifest {
-    manifest_from_args(kind, args).unwrap_or_else(|e| {
-        eprintln!("{}", e.to_json());
-        std::process::exit(2);
-    })
-}
-
-/// Applies `--threads N` (if present) as the process-wide pool thread count
-/// and returns the effective count.
-#[must_use]
-pub fn apply_threads(args: &[String]) -> usize {
-    if let Some(v) = value_of(args, "--threads") {
-        let n: usize = v.parse().expect("--threads takes a positive integer");
-        assert!(n > 0, "--threads takes a positive integer");
-        shm_pool::set_threads(n);
-    }
-    shm_pool::threads()
-}
-
-/// Observability outputs requested on the command line (shared by every
-/// `exp_*` binary): `--metrics out.json` (deterministic counter report),
-/// `--trace-jsonl out.jsonl` (event stream), `--trace-chrome out.json`
+/// Observability outputs requested on the command line: `--metrics
+/// out.json` (deterministic counter report), `--trace-jsonl out.jsonl`
+/// (event stream), `--trace-chrome out.json`
 /// (Chrome `trace_event` timeline), `--obs-summary` (counter totals on
 /// stdout), `--trace-wall` (adds wall-clock timestamps, lanes, and
 /// scheduling-dependent counters to the JSONL stream, giving up its
@@ -86,18 +47,6 @@ pub struct ObsFlags {
 }
 
 impl ObsFlags {
-    /// Whether any observability output was requested (i.e. whether a
-    /// recorder needs to be installed at all).
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.metrics.is_some()
-            || self.trace_chrome.is_some()
-            || self.trace_jsonl.is_some()
-            || self.summary
-            || self.progress_on()
-            || self.profile_on()
-    }
-
     /// Whether progress frames were requested in any form.
     #[must_use]
     pub fn progress_on(&self) -> bool {
@@ -121,45 +70,6 @@ impl ObsFlags {
     #[must_use]
     pub fn profile_on(&self) -> bool {
         self.profile_top.is_some() || self.profile_folded.is_some() || self.profile_json.is_some()
-    }
-}
-
-/// The optional `=N` payload of a `--flag` / `--flag=N` argument:
-/// `None` when the flag is absent, `Some(None)` for the bare form,
-/// `Some(Some(n))` with a value.
-fn opt_eq_value(args: &[String], flag: &str) -> Option<Option<u64>> {
-    let prefix = format!("{flag}=");
-    for a in args {
-        if a == flag {
-            return Some(None);
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            let n = v
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag}=N takes a positive integer (got {v:?})"));
-            return Some(Some(n));
-        }
-    }
-    None
-}
-
-/// Parses the shared observability flags.
-#[must_use]
-pub fn obs_flags(args: &[String]) -> ObsFlags {
-    let progress = opt_eq_value(args, "--progress");
-    let profile = opt_eq_value(args, "--profile");
-    ObsFlags {
-        metrics: value_of(args, "--metrics"),
-        trace_chrome: value_of(args, "--trace-chrome"),
-        trace_jsonl: value_of(args, "--trace-jsonl"),
-        summary: args.iter().any(|a| a == "--obs-summary"),
-        wall: args.iter().any(|a| a == "--trace-wall"),
-        progress: progress.is_some(),
-        progress_every: progress.flatten(),
-        progress_jsonl: value_of(args, "--progress-jsonl"),
-        profile_top: profile.map(|n| usize::try_from(n.unwrap_or(20)).expect("fits usize")),
-        profile_folded: value_of(args, "--profile-folded"),
-        profile_json: value_of(args, "--profile-json"),
     }
 }
 
@@ -188,15 +98,19 @@ pub fn obs_install(flags: &ObsFlags) -> Option<std::sync::Arc<shm_obs::Collector
 /// [`obs_install`] and uninstalls the recorder. No-op when `collector` is
 /// `None`.
 pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::Collector>>) {
+    let sink = |path: &Option<String>, body: &dyn Fn() -> String| {
+        if let Some(path) = path {
+            std::fs::write(path, body()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("wrote {path}");
+        }
+    };
     // Drain the progress sink before uninstalling the recorder: rendering
     // happens here, so the frame stream is sorted (deterministic order)
     // whatever order workers emitted in. Progress needs no collector.
     let progress_out = shm_obs::progress::finish();
-    if let Some(path) = &flags.progress_jsonl {
-        std::fs::write(path, progress_out.as_deref().unwrap_or(""))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    sink(&flags.progress_jsonl, &|| {
+        progress_out.clone().unwrap_or_default()
+    });
     let Some(c) = collector else { return };
     shm_obs::uninstall();
     let snap = c.snapshot();
@@ -206,32 +120,15 @@ pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::C
             println!("\nspan self-time profile (top {n}):");
             print!("{}", prof.table(n));
         }
-        if let Some(path) = &flags.profile_folded {
-            std::fs::write(path, prof.folded()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        if let Some(path) = &flags.profile_json {
-            std::fs::write(path, prof.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
+        sink(&flags.profile_folded, &|| prof.folded());
+        sink(&flags.profile_json, &|| prof.to_json());
     }
-    if let Some(path) = &flags.metrics {
-        let report = shm_obs::MetricsReport::from_snapshot(&snap);
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.trace_jsonl {
-        std::fs::write(path, shm_obs::jsonl(&snap, flags.wall))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.trace_chrome {
-        std::fs::write(path, shm_obs::chrome_trace(&snap))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    let report = || shm_obs::MetricsReport::from_snapshot(&snap);
+    sink(&flags.metrics, &|| report().to_json());
+    sink(&flags.trace_jsonl, &|| shm_obs::jsonl(&snap, flags.wall));
+    sink(&flags.trace_chrome, &|| shm_obs::chrome_trace(&snap));
     if flags.summary {
-        let report = shm_obs::MetricsReport::from_snapshot(&snap);
+        let report = report();
         println!("\nobs summary (deterministic counter totals):");
         for name in report.names() {
             println!("  {:<24} {}", name, report.total(name));

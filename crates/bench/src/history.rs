@@ -1,6 +1,6 @@
-//! The perf-history ledger: one JSONL record per `exp_all --json` run,
+//! The perf-history ledger: one JSONL record per `cc-dsm all --json` run,
 //! appended to `BENCH_history.jsonl`, plus the noise-aware latest-vs-
-//! baseline comparison behind the `bench_diff` binary.
+//! baseline comparison behind `cc-dsm diff`.
 //!
 //! A record is a flat map of metric name → number, stamped with the git
 //! SHA, UTC date, and thread count:
@@ -18,6 +18,7 @@
 //! thresholds have both a relative and an absolute guard, so micro-second
 //! walls cannot flag on scheduler jitter.
 
+use shm_scenario::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Schema tag written into (and required of) every history record.
@@ -48,6 +49,30 @@ pub struct Record {
 }
 
 impl Record {
+    /// A record of `metrics` taken now, in this checkout, at `threads`.
+    #[must_use]
+    pub fn now(threads: usize, metrics: BTreeMap<String, f64>) -> Record {
+        Record {
+            git_sha: git_sha(),
+            utc_date: utc_date_now(),
+            threads: threads as u64,
+            metrics,
+        }
+    }
+
+    /// Appends the record as one line to the ledger at `path` (created if
+    /// absent; a missing final newline is restored first, so two records
+    /// never share a line).
+    pub fn append_to(&self, path: &str) -> std::io::Result<()> {
+        let mut text = std::fs::read_to_string(path).unwrap_or_default();
+        if !text.is_empty() && !text.ends_with('\n') {
+            text.push('\n');
+        }
+        text.push_str(&self.to_line());
+        text.push('\n');
+        std::fs::write(path, text)
+    }
+
     /// Renders the record as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
@@ -78,50 +103,7 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-// ------------------------------------------------------- minimal parsing ----
-
-/// The raw text of the first `"key": value` number field in `obj`.
-/// Minimal extraction for the repo's own, escape-free JSON output.
-#[must_use]
-pub fn json_number(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The first `"key": "value"` string field in `obj` (no escape handling —
-/// the repo's own JSON never needs it).
-#[must_use]
-pub fn json_string(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parses the `"metrics": {...}` object of one record line.
-fn parse_metrics(line: &str) -> Option<BTreeMap<String, f64>> {
-    let at = line.find("\"metrics\"")?;
-    let open = line[at..].find('{')? + at;
-    let close = line[open..].find('}')? + open;
-    let body = &line[open + 1..close];
-    let mut metrics = BTreeMap::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (k, v) = pair.split_once(':')?;
-        let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        metrics.insert(k.to_string(), v.trim().parse().ok()?);
-    }
-    Some(metrics)
-}
+// --------------------------------------------------------------- parsing ----
 
 /// Parses a history file's text into records, oldest first. Lines that are
 /// blank, carry a different schema, or fail to parse are skipped — the
@@ -130,15 +112,21 @@ fn parse_metrics(line: &str) -> Option<BTreeMap<String, f64>> {
 pub fn parse_records(text: &str) -> Vec<Record> {
     text.lines()
         .filter_map(|line| {
-            let line = line.trim();
-            if line.is_empty() || json_string(line, "schema").as_deref() != Some(SCHEMA) {
+            let v = json::parse(line).ok()?;
+            if v.get("schema")?.as_str()? != SCHEMA {
                 return None;
             }
+            let Value::Obj(metrics) = v.get("metrics")? else {
+                return None;
+            };
             Some(Record {
-                git_sha: json_string(line, "git_sha")?,
-                utc_date: json_string(line, "utc_date")?,
-                threads: json_number(line, "threads")? as u64,
-                metrics: parse_metrics(line)?,
+                git_sha: v.get("git_sha")?.as_str()?.to_string(),
+                utc_date: v.get("utc_date")?.as_str()?.to_string(),
+                threads: v.get("threads")?.as_u64()?,
+                metrics: metrics
+                    .iter()
+                    .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                    .collect::<Option<_>>()?,
             })
         })
         .collect()
@@ -444,19 +432,5 @@ mod tests {
         // A metric with no history has no baseline and cannot regress.
         let new = d.iter().find(|e| e.name == "new.metric").unwrap();
         assert!(new.baseline.is_none() && !new.regression);
-    }
-
-    #[test]
-    fn json_field_helpers_extract_from_repo_json() {
-        let obj = "{\"experiment\": \"bench_step_throughput\", \"wall_ms\": 12.5, \
-                   \"serial_steps_per_sec\": 2100000, \"threads\": 4}";
-        assert_eq!(json_number(obj, "wall_ms"), Some(12.5));
-        assert_eq!(json_number(obj, "serial_steps_per_sec"), Some(2_100_000.0));
-        assert_eq!(
-            json_string(obj, "experiment").as_deref(),
-            Some("bench_step_throughput")
-        );
-        assert_eq!(json_number(obj, "absent"), None);
-        assert_eq!(json_string(obj, "wall_ms"), None, "number is not a string");
     }
 }

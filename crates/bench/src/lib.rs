@@ -18,35 +18,33 @@
 //! | E9 | Spec 4.1 certified over *every* schedule at small n; explored RMR maximum dominates the §6 chase cost | [`e9_explore`] |
 //!
 //! Every function returns structured rows (so the integration tests assert
-//! on them) and the `exp_*` binaries print them as tables. The adversary
+//! on them); [`run::run_rows`] dispatches a manifest to them and
+//! [`run::Rows`] prints the tables `cc-dsm run <kind>` shows. The adversary
 //! experiments have `*_with(sizes, audit)` variants that additionally run
 //! the differential RMR audit ([`shm_sim::Simulator::audit`]) over every
-//! phase; the `exp_e2_dsm_lower` / `exp_e8_transformation` binaries expose
-//! this as `--audit` and exit nonzero on any divergence.
+//! phase; `cc-dsm run e2|e8` exposes this as `--audit` and exits nonzero on
+//! any divergence.
 //!
 //! Sweeps fan their rows out over the in-tree work-stealing pool
-//! (re-exported as [`pool`]) and merge results by submission index, so
+//! (`shm-pool`) and merge results by submission index, so
 //! tables and JSON are byte-identical at every thread count. Thread count:
-//! `--threads N` on the binaries, the `CC_DSM_THREADS` environment variable,
-//! or available parallelism, in that precedence; `1` is the exact serial
-//! path. [`canon`] renders rows as canonical (timing-free) JSON for
-//! byte-equality checks across thread counts.
+//! `--threads N` on the command line, the `CC_DSM_THREADS` environment
+//! variable, or available parallelism, in that precedence; `1` is the exact
+//! serial path. [`run::Rows::canon`] renders rows as canonical
+//! (timing-free) JSON for byte-equality checks across thread counts.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod canon;
 pub mod cli;
 pub mod experiments;
 pub mod history;
 pub mod run;
 pub mod table;
+pub mod throughput;
 pub mod timing;
 
 /// The shared scenario schema (manifests, row types, canonical JSON).
 pub use shm_scenario::{ExperimentKind, Manifest, ManifestError};
-
-/// The dependency-free scoped work-stealing pool the sweeps run on.
-pub use shm_pool as pool;
 
 pub use experiments::*;

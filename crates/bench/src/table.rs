@@ -1,22 +1,20 @@
-//! Minimal fixed-width table printing for experiment binaries.
+//! Minimal fixed-width table printing for the experiment front end.
 
-/// Prints a header row and a separator.
-pub fn header(cols: &[(&str, usize)]) {
-    let mut line = String::new();
-    for (name, width) in cols {
-        line.push_str(&format!("{name:>width$}  "));
+/// Prints a right-aligned table on stdout: a header row from `cols`
+/// (name, width), a separator, then each row's cells at the same widths.
+pub fn print(cols: &[(&str, usize)], rows: impl IntoIterator<Item = Vec<String>>) {
+    let line = |cells: &mut dyn Iterator<Item = &str>| -> String {
+        cols.iter()
+            .zip(cells)
+            .map(|(&(_, width), cell)| format!("{cell:>width$}  "))
+            .collect()
+    };
+    let header = line(&mut cols.iter().map(|&(name, _)| name));
+    println!("{header}");
+    println!("{}", "-".repeat(header.len().saturating_sub(2)));
+    for row in rows {
+        println!("{}", line(&mut row.iter().map(String::as_str)));
     }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len().saturating_sub(2)));
-}
-
-/// Formats one cell-aligned row from already-rendered cells.
-pub fn row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (cell, width) in cells.iter().zip(widths) {
-        line.push_str(&format!("{cell:>width$}  "));
-    }
-    println!("{line}");
 }
 
 /// Renders a float with two decimals.

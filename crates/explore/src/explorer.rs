@@ -786,8 +786,8 @@ pub(crate) fn explore_carry(
     drop(queue);
     if let Some(m) = run_meter.as_mut() {
         // The memory-trajectory summary: one deterministic frame per run
-        // (this is the progress-JSONL home of the figures `exp_e9_explore
-        // --deep` used to print ad hoc).
+        // (this is the progress-JSONL home of the figures the E9 deep row
+        // used to print ad hoc).
         let _ = m.tick(report.explored);
         m.summary(&[
             ("explored", report.explored),

@@ -823,15 +823,19 @@ impl TotalsMark {
     }
 }
 
+/// The one lock every test that touches the process-wide recorder takes.
+/// The collector tests below and the progress-sink tests in [`progress`]
+/// share the recorder, so without it a progress test's frames would count
+/// into a collector another test installed.
+#[cfg(test)]
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Process-global lock: the recorder slot is process-wide state.
-    static OBS_LOCK: Mutex<()> = Mutex::new(());
-
     fn with_collector<R>(f: impl FnOnce(&Arc<Collector>) -> R) -> R {
-        let _guard = OBS_LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         let c = Collector::new();
         install_collector(&c);
         let r = f(&c);
@@ -841,7 +845,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_inert() {
-        let _guard = OBS_LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         uninstall();
         assert!(!enabled());
         counter!("sim.rmr");

@@ -471,13 +471,10 @@ impl SharedMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// The sink slot is process-global state.
-    static PROGRESS_LOCK: StdMutex<()> = StdMutex::new(());
+    use crate::TEST_LOCK;
 
     fn with_sink<R>(cfg: Config, f: impl FnOnce() -> R) -> (R, String) {
-        let _guard = PROGRESS_LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         install(cfg);
         let r = f();
         let out = finish().expect("sink was installed");
@@ -486,7 +483,7 @@ mod tests {
 
     #[test]
     fn disabled_meters_are_none() {
-        let _guard = PROGRESS_LOCK.lock().unwrap();
+        let _guard = TEST_LOCK.lock().unwrap();
         let _ = finish();
         assert!(!enabled());
         assert!(Meter::new("x", "l", 10, None).is_none());

@@ -3,11 +3,11 @@
 //! These serializers emit only the *deterministic* fields of each row — no
 //! wall-clock timings, no thread counts — with a fixed key order and fixed
 //! float formatting, so the output is byte-identical across thread counts
-//! and across machines. The determinism tests and the `--canon` flags of the
-//! experiment binaries compare these byte-for-byte between `--threads 1` and
+//! and across machines. The determinism tests and the `--canon` flags of
+//! `cc-dsm` compare these byte-for-byte between `--threads 1` and
 //! multi-threaded runs, and the `shm-serve` job server streams exactly these
-//! bytes back to clients (so a served job equals the corresponding `exp_*`
-//! `--canon` output byte-for-byte).
+//! bytes back to clients (so a served job equals the corresponding
+//! `cc-dsm run --canon` output byte-for-byte).
 
 use crate::rows::{E10Row, E1Row, E2Row, E3Row, E4Row, E5Row, E6Row, E7Row, E8Row, E9Row};
 

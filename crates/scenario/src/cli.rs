@@ -1,14 +1,13 @@
-//! Tiny shared argument helpers for the experiment binaries (no clap — the
-//! workspace is dependency-free), plus [`manifest_from_args`], which turns
-//! an `exp_*` command line into a validated [`Manifest`] so bad sizes and
-//! out-of-range parameters are rejected up front with a structured
-//! `cc-dsm/error/v1` JSON error instead of panicking deep inside a sweep.
+//! [`manifest_from_args`]: turns the scenario flags of a `cc-dsm` command
+//! line into a validated [`Manifest`], so bad sizes and out-of-range
+//! parameters are rejected up front with a structured `cc-dsm/error/v1`
+//! JSON error instead of panicking deep inside a sweep.
 
 use crate::manifest::{ExperimentKind, Manifest, ManifestError};
 
 /// The value following `--<flag>`, if present.
 #[must_use]
-pub fn value_of(args: &[String], flag: &str) -> Option<String> {
+fn value_of(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
@@ -33,35 +32,6 @@ pub fn try_parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("byte quantity {s:?} overflows usize"))
 }
 
-/// Panicking form of [`try_parse_bytes`] (the historical `bench::cli` API,
-/// kept for the binaries' non-manifest flags).
-#[must_use]
-pub fn parse_bytes(s: &str) -> usize {
-    try_parse_bytes(s).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parses `--mem-budget <bytes>` (`k`/`m`/`g` suffixes accepted): the
-/// exploration memory budget forwarded to the explorer's
-/// `Bounds::mem_budget` (visited hot tier + frontier ring; spills
-/// delta-compressed runs to disk beyond it). Absent = unbounded.
-#[must_use]
-pub fn mem_budget_of(args: &[String]) -> Option<usize> {
-    value_of(args, "--mem-budget").map(|v| parse_bytes(&v))
-}
-
-/// Parses a `--sizes 32,64,...` override, falling back to `default`.
-#[must_use]
-pub fn sizes_of(args: &[String], default: &[usize]) -> Vec<usize> {
-    value_of(args, "--sizes").map_or_else(
-        || default.to_vec(),
-        |list| {
-            list.split(',')
-                .map(|s| s.trim().parse().expect("--sizes takes e.g. 32,64"))
-                .collect()
-        },
-    )
-}
-
 fn u64_flag(
     args: &[String],
     flag: &str,
@@ -77,12 +47,12 @@ fn u64_flag(
     }
 }
 
-/// Builds a validated, normalized [`Manifest`] from an `exp_*` command line.
+/// Builds a validated, normalized [`Manifest`] from a command line.
 ///
 /// Reads `--sizes`, `--seed`, `--threads`, `--polls`, `--waiters`, `--n`,
 /// `--cycles`, `--max-polls`, `--mem-budget`, `--deep`, `--audit`,
 /// `--algorithm`, `--model`, `--oracle`, `--objective` — every scenario
-/// flag; the observability and output flags stay with the binaries. All
+/// flag; the observability and output flags stay with the front end. All
 /// parse failures and range violations come back as a structured
 /// [`ManifestError`] (render it with [`ManifestError::to_json`] and exit 2),
 /// so duplicate or out-of-range `--sizes` no longer panic mid-sweep.
@@ -165,10 +135,10 @@ mod tests {
 
     #[test]
     fn byte_suffixes() {
-        assert_eq!(parse_bytes("64k"), 64 << 10);
-        assert_eq!(parse_bytes("512m"), 512 << 20);
-        assert_eq!(parse_bytes("1g"), 1 << 30);
-        assert_eq!(parse_bytes(" 65536 "), 65536);
+        assert_eq!(try_parse_bytes("64k"), Ok(64 << 10));
+        assert_eq!(try_parse_bytes("512m"), Ok(512 << 20));
+        assert_eq!(try_parse_bytes("1g"), Ok(1 << 30));
+        assert_eq!(try_parse_bytes(" 65536 "), Ok(65536));
         assert!(try_parse_bytes("lots").is_err());
     }
 }

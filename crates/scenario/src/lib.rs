@@ -7,19 +7,19 @@
 //!   validation (structured `cc-dsm/error/v1` errors) and a canonical
 //!   serialization whose content hash is the job ID.
 //! - [`rows`] — the experiment row schemas, lifted out of `bench` so the
-//!   `exp_*` binaries and the `shm-serve` job server share one definition.
+//!   `cc-dsm` front end and the `shm-serve` job server share one definition.
 //! - [`canon`] — the canonical (timing-free, byte-deterministic) JSON
 //!   serializers for those rows.
 //! - [`json`] / [`hash`] / [`cli`] — the dependency-free JSON parser, the
-//!   FNV-1a-128 content hash, and the `--flag value` CLI helpers the
-//!   binaries share.
+//!   FNV-1a-128 content hash, and the scenario-flag parsing that turns a
+//!   `cc-dsm run` command line into a manifest.
 //!
-//! `bench` re-exports `rows` and `canon` (so existing `bench::E9Row` /
-//! `bench::canon::e9_json` paths still work, byte-for-byte), and
-//! `rmr-adversary` re-exports [`PhaseTimings`]. The determinism contract —
-//! canonical output identical across thread counts — is what lets the job
-//! server promise that a served manifest equals the corresponding `exp_*`
-//! `--canon` run exactly, and what makes the job log replayable.
+//! `bench` re-exports `rows` (so existing `bench::E9Row` paths still work),
+//! and `rmr-adversary` re-exports [`PhaseTimings`]. The determinism
+//! contract — canonical output identical across thread counts — is what
+//! lets the job server promise that a served manifest equals the
+//! corresponding `cc-dsm run --canon` output exactly, and what makes the job
+//! log replayable.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

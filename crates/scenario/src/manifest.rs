@@ -4,7 +4,7 @@
 //! (E1–E10), its scenario parameters (sizes, seeds, poll/cycle budgets,
 //! memory bounds), the pool thread count to run it at, and — for the
 //! exploration kinds — the oracle, objective, and optional algorithm/model
-//! row filters. The `exp_*` binaries build a manifest from their CLI flags
+//! row filters. `cc-dsm run` builds a manifest from its CLI flags
 //! (so bad sizes are rejected up front with a structured error instead of
 //! panicking deep in a sweep), and the `shm-serve` job server ingests the
 //! same schema as JSON over a spool directory or socket.

@@ -1,5 +1,5 @@
 //! The experiment row schemas (E1–E10), lifted out of `bench` so the
-//! experiment bins and the `shm-serve` job server share one definition.
+//! `cc-dsm` front end and the `shm-serve` job server share one definition.
 //!
 //! Each struct is the structured result of one table row; the canonical
 //! (timing-free) JSON serializers live in [`crate::canon`]. The `bench`

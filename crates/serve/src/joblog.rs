@@ -5,7 +5,7 @@
 //! embedded), their outcomes (`completed` with the result's content hash,
 //! `failed` with the panic message), and invalid submissions (`rejected`
 //! with the structured error). That discipline is what makes the server
-//! replayable: `shm-serve replay` re-executes every completed job from the
+//! replayable: `cc-dsm serve replay` re-executes every completed job from the
 //! log alone and asserts the recomputed result bytes hash to the recorded
 //! `result_sha` — and it doubles as restart-safe idempotency, because a
 //! restarting server rebuilds its completed-jobs map by scanning the log.

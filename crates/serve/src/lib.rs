@@ -6,7 +6,7 @@
 //! and content-hashes them into job IDs (resubmission is idempotent),
 //! executes them sequentially on the in-process pool at each manifest's
 //! thread count, and streams the canonical row JSON back — byte-identical
-//! to the corresponding `exp_*` binary's `--canon` output, at any thread
+//! to the corresponding `cc-dsm run --canon` output, at any thread
 //! count. Every accepted manifest and every outcome is appended to a
 //! record/replay job log (`cc-dsm/joblog/v1`); [`replay::replay`]
 //! re-executes the log and asserts the recomputed results hash byte-for-
@@ -14,7 +14,8 @@
 //!
 //! Module map: [`server`] (ingestion, queueing, execution), [`joblog`]
 //! (the event log), [`replay`] (byte-identity verification). The
-//! `shm-serve` binary fronts all three (`run` / `replay` / `submit`).
+//! `cc-dsm serve` subcommands front all three (`run` / `replay` /
+//! `submit`).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -7,7 +7,8 @@
 //! job, so every test serializes on one mutex (the same pattern as
 //! `bench/tests/determinism.rs`).
 
-use bench::{canon, e10_pct_with, e5_messages, e9_explore_with};
+use bench::{e10_pct_with, e5_messages, e9_explore_with};
+use shm_scenario::canon;
 use shm_scenario::json::{self, Value};
 use shm_serve::{replay, ServeConfig, Server};
 use std::net::TcpStream;
@@ -58,8 +59,7 @@ fn e9_e10_round_trip_spool_socket_and_replay() {
     std::fs::create_dir_all(&spool).unwrap();
 
     // What the server must stream back, byte for byte: the same canonical
-    // JSON the `exp_*` binaries print with `--canon`, at both thread
-    // counts.
+    // JSON `cc-dsm run --canon` writes, at both thread counts.
     let e9_expected = at_threads(1, || canon::e9_json(&e9_explore_with(2, 1, None)));
     let e9_expected_t4 = at_threads(4, || canon::e9_json(&e9_explore_with(2, 1, None)));
     assert_eq!(
