@@ -137,7 +137,9 @@ fn worst_amortized_dominates_part1() {
 /// The incremental replay engine and the reference from-scratch path are
 /// observationally identical: every outcome of the full pipeline — Part-1
 /// populations, RMR counts, chase/discovery results — matches exactly with
-/// `incremental` on and off, for every algorithm.
+/// `incremental` on and off, for every algorithm at n = 20, and at n = 256
+/// (the largest size of E2's default sweep) for broadcast, single-waiter
+/// and queue-faa.
 #[test]
 fn incremental_engine_matches_reference_pipeline() {
     let summarize = |a: &dyn SignalingAlgorithm, n: usize, incremental: bool| {
@@ -172,9 +174,11 @@ fn incremental_engine_matches_reference_pipeline() {
             r.discovery.as_ref().map(run_key),
         )
     };
-    for which in 0..6 {
+    let cases = (0..6)
+        .map(|which| (which, 20))
+        .chain([(0, 256), (2, 256), (3, 256)]);
+    for (which, n) in cases {
         let a = algo(which);
-        let n = 20;
         let reference = summarize(a.as_ref(), n, false);
         let inc = summarize(a.as_ref(), n, true);
         assert_eq!(

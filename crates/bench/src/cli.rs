@@ -96,23 +96,30 @@ pub fn obs_install(flags: &ObsFlags) -> Option<std::sync::Arc<shm_obs::Collector
 
 /// Writes the requested sinks from the collector installed by
 /// [`obs_install`] and uninstalls the recorder. No-op when `collector` is
-/// `None`.
-pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::Collector>>) {
-    let sink = |path: &Option<String>, body: &dyn Fn() -> String| {
+/// `None`. A sink that cannot be written stops the rest and comes back as
+/// `write PATH: ERR`; the recorder is uninstalled either way.
+pub fn obs_finish(
+    flags: &ObsFlags,
+    collector: Option<&std::sync::Arc<shm_obs::Collector>>,
+) -> Result<(), String> {
+    let sink = |path: &Option<String>, body: &dyn Fn() -> String| -> Result<(), String> {
         if let Some(path) = path {
-            std::fs::write(path, body()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            std::fs::write(path, body()).map_err(|e| format!("write {path}: {e}"))?;
             println!("wrote {path}");
         }
+        Ok(())
     };
     // Drain the progress sink before uninstalling the recorder: rendering
     // happens here, so the frame stream is sorted (deterministic order)
     // whatever order workers emitted in. Progress needs no collector.
     let progress_out = shm_obs::progress::finish();
+    if collector.is_some() {
+        shm_obs::uninstall();
+    }
     sink(&flags.progress_jsonl, &|| {
         progress_out.clone().unwrap_or_default()
-    });
-    let Some(c) = collector else { return };
-    shm_obs::uninstall();
+    })?;
+    let Some(c) = collector else { return Ok(()) };
     let snap = c.snapshot();
     if flags.profile_on() {
         let prof = shm_obs::profile(&snap);
@@ -120,13 +127,13 @@ pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::C
             println!("\nspan self-time profile (top {n}):");
             print!("{}", prof.table(n));
         }
-        sink(&flags.profile_folded, &|| prof.folded());
-        sink(&flags.profile_json, &|| prof.to_json());
+        sink(&flags.profile_folded, &|| prof.folded())?;
+        sink(&flags.profile_json, &|| prof.to_json())?;
     }
     let report = || shm_obs::MetricsReport::from_snapshot(&snap);
-    sink(&flags.metrics, &|| report().to_json());
-    sink(&flags.trace_jsonl, &|| shm_obs::jsonl(&snap, flags.wall));
-    sink(&flags.trace_chrome, &|| shm_obs::chrome_trace(&snap));
+    sink(&flags.metrics, &|| report().to_json())?;
+    sink(&flags.trace_jsonl, &|| shm_obs::jsonl(&snap, flags.wall))?;
+    sink(&flags.trace_chrome, &|| shm_obs::chrome_trace(&snap))?;
     if flags.summary {
         let report = report();
         println!("\nobs summary (deterministic counter totals):");
@@ -134,4 +141,5 @@ pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::C
             println!("  {:<24} {}", name, report.total(name));
         }
     }
+    Ok(())
 }

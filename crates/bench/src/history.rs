@@ -1,25 +1,29 @@
-//! The perf-history ledger: one JSONL record per `cc-dsm all --json` run,
-//! appended to `BENCH_history.jsonl`, plus the noise-aware latest-vs-
-//! baseline comparison behind `cc-dsm diff`.
+//! The perf-history ledger: one JSONL record per `cc-dsm all --json` run
+//! (and per `cc-dsm serve run --history` session), appended to
+//! `BENCH_history.jsonl`, plus the noise-aware latest-vs-baseline
+//! comparison behind `cc-dsm diff`. It is the only timing record the
+//! front end writes; layer-by-layer timings with repeated samples live in
+//! the repository benchmark (`benchmark/`).
 //!
 //! A record is a flat map of metric name → number, stamped with the git
 //! SHA, UTC date, and thread count:
 //!
 //! ```json
 //! {"schema":"cc-dsm/bench-history/v1","git_sha":"334cf0a","utc_date":"2026-08-10",
-//!  "threads":4,"metrics":{"wall_ms.exp_e9_explore":878.1,"steps_per_sec.serial":2.1e6}}
+//!  "threads":4,"metrics":{"wall_ms.exp_e9_explore":878.1,"e9.spilled_bytes":0}}
 //! ```
 //!
-//! Metric names carry their own improvement direction: `wall_ms.*` is
-//! lower-is-better, `*per_sec*` is higher-is-better, everything else is
-//! informational (tracked, never gated). The baseline for a metric is the
-//! **median of up to the 5 most recent prior records** — one noisy CI run
-//! neither trips the gate nor poisons the baseline — and the regression
-//! thresholds have both a relative and an absolute guard, so micro-second
-//! walls cannot flag on scheduler jitter.
+//! Metric names carry their own improvement direction: `wall_ms.*` and
+//! `serve_wall_ms.*` are lower-is-better, everything else is informational
+//! (tracked, never gated). The baseline for a metric is the **median of up
+//! to the 5 most recent prior records** — one noisy CI run neither trips
+//! the gate nor poisons the baseline — and the regression thresholds have
+//! both a relative and an absolute guard, so micro-second walls cannot flag
+//! on scheduler jitter.
 
 use shm_scenario::json::{self, Value};
 use std::collections::BTreeMap;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 
 /// Schema tag written into (and required of) every history record.
 pub const SCHEMA: &str = "cc-dsm/bench-history/v1";
@@ -62,15 +66,26 @@ impl Record {
 
     /// Appends the record as one line to the ledger at `path` (created if
     /// absent; a missing final newline is restored first, so two records
-    /// never share a line).
+    /// never share a line). The earlier bytes are never read as text or
+    /// rewritten, so a line the parser would skip survives the append.
     pub fn append_to(&self, path: &str) -> std::io::Result<()> {
-        let mut text = std::fs::read_to_string(path).unwrap_or_default();
-        if !text.is_empty() && !text.ends_with('\n') {
-            text.push('\n');
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let mut line = String::new();
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                line.push('\n');
+            }
         }
-        text.push_str(&self.to_line());
-        text.push('\n');
-        std::fs::write(path, text)
+        line.push_str(&self.to_line());
+        line.push('\n');
+        file.write_all(line.as_bytes())
     }
 
     /// Renders the record as one JSONL line (no trailing newline).
@@ -189,10 +204,8 @@ pub fn utc_date_now() -> String {
 /// Which direction improves a metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Smaller is better (wall times).
+    /// Smaller is better (experiment and server wall times).
     LowerIsBetter,
-    /// Larger is better (throughputs).
-    HigherIsBetter,
     /// Tracked for the trajectory, never gated (counts, byte figures).
     Informational,
 }
@@ -200,10 +213,8 @@ pub enum Direction {
 /// The improvement direction encoded in a metric's name.
 #[must_use]
 pub fn direction_of(name: &str) -> Direction {
-    if name.starts_with("wall_ms.") {
+    if name.starts_with("wall_ms.") || name.starts_with("serve_wall_ms.") {
         Direction::LowerIsBetter
-    } else if name.contains("per_sec") {
-        Direction::HigherIsBetter
     } else {
         Direction::Informational
     }
@@ -259,7 +270,6 @@ pub fn is_regression(name: &str, latest: f64, baseline: f64) -> bool {
         Direction::LowerIsBetter => {
             latest > baseline * REL_THRESHOLD && latest > baseline + ABS_GUARD_MS
         }
-        Direction::HigherIsBetter => latest * REL_THRESHOLD < baseline,
         Direction::Informational => false,
     }
 }
@@ -307,7 +317,7 @@ mod tests {
             "abc1234",
             &[
                 ("wall_ms.exp_e9_explore", 878.125),
-                ("steps_per_sec.serial", 2_100_000.0),
+                ("e9.peak_visited_bytes", 2_100_000.0),
                 ("e9.spilled_bytes", 0.0),
             ],
         );
@@ -340,28 +350,44 @@ mod tests {
     }
 
     #[test]
+    fn append_never_rewrites_earlier_bytes() {
+        let path = std::env::temp_dir().join(format!(
+            "cc_dsm_history_append_{}.jsonl",
+            std::process::id()
+        ));
+        let path_str = path.to_str().expect("utf-8 temp path");
+        // A ledger whose last line is not UTF-8 and lacks its newline: the
+        // parser skips that line, but the append must keep its bytes.
+        let earlier = b"{\"schema\":\"x\"}\n\xff\xfe tail";
+        std::fs::write(&path, earlier).expect("seed ledger");
+        let r = rec("abc1234", &[("wall_ms.total", 10.0)]);
+        r.append_to(path_str).expect("append");
+        r.append_to(path_str).expect("append again");
+        let bytes = std::fs::read(&path).expect("read ledger");
+        let _ = std::fs::remove_file(&path);
+        assert!(bytes.starts_with(earlier), "earlier bytes rewritten");
+        let line = r.to_line();
+        let tail = format!("\n{line}\n{line}\n");
+        assert_eq!(&bytes[earlier.len()..], tail.as_bytes());
+        let text = String::from_utf8_lossy(&bytes);
+        assert_eq!(parse_records(&text), vec![r.clone(), r]);
+    }
+
+    #[test]
     fn directions_come_from_names() {
         assert_eq!(
             direction_of("wall_ms.exp_e9_explore"),
             Direction::LowerIsBetter
         );
         assert_eq!(direction_of("wall_ms.total"), Direction::LowerIsBetter);
-        assert_eq!(
-            direction_of("steps_per_sec.serial"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            direction_of("explore_states_per_sec.threaded_spill"),
-            Direction::HigherIsBetter
-        );
+        assert_eq!(direction_of("serve_wall_ms.e9"), Direction::LowerIsBetter);
         assert_eq!(
             direction_of("e9.peak_visited_bytes"),
             Direction::Informational
         );
-        assert_eq!(
-            direction_of("spill_tax_pct.serial"),
-            Direction::Informational
-        );
+        assert_eq!(direction_of("serve_jobs"), Direction::Informational);
+        // Informational metrics never flag, whatever the swing.
+        assert!(!is_regression("e9.spilled_bytes", 1e9, 1.0));
     }
 
     #[test]
@@ -374,22 +400,9 @@ mod tests {
         assert!(is_regression("wall_ms.slow", 2000.0, 1000.0));
         // Exactly at the relative threshold: strict >, so not flagged.
         assert!(!is_regression("wall_ms.slow", 1500.0, 1000.0));
-    }
-
-    #[test]
-    fn throughput_regression_is_relative_only() {
-        assert!(is_regression(
-            "steps_per_sec.serial",
-            600_000.0,
-            1_000_000.0
-        ));
-        assert!(!is_regression(
-            "steps_per_sec.serial",
-            700_000.0,
-            1_000_000.0
-        ));
-        // Informational metrics never flag, whatever the swing.
-        assert!(!is_regression("e9.spilled_bytes", 1e9, 1.0));
+        // Server walls gate the same way: 2× and +300 ms flags.
+        assert!(is_regression("serve_wall_ms.e9", 600.0, 300.0));
+        assert!(!is_regression("serve_wall_ms.e10", 40.0, 20.0));
     }
 
     #[test]
@@ -410,16 +423,13 @@ mod tests {
     fn diff_flags_synthetic_2x_wall_regression_and_sorts_it_first() {
         let prior = vec![rec(
             "base",
-            &[
-                ("wall_ms.exp_e9_explore", 800.0),
-                ("steps_per_sec.serial", 1e6),
-            ],
+            &[("wall_ms.exp_e9_explore", 800.0), ("wall_ms.total", 1000.0)],
         )];
         let latest = rec(
             "head",
             &[
                 ("wall_ms.exp_e9_explore", 1600.0),
-                ("steps_per_sec.serial", 1.05e6),
+                ("wall_ms.total", 1050.0),
                 ("new.metric", 7.0),
             ],
         );

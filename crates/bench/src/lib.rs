@@ -41,7 +41,6 @@ pub mod experiments;
 pub mod history;
 pub mod run;
 pub mod table;
-pub mod throughput;
 pub mod timing;
 
 /// The shared scenario schema (manifests, row types, canonical JSON).

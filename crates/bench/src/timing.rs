@@ -1,11 +1,12 @@
 //! Minimal wall-clock bench harness.
 //!
-//! The workspace is dependency-free (no criterion), so the `benches/`
-//! binaries are plain `harness = false` mains built on this module: warm up
-//! once, run a fixed iteration count, report mean/median/min/max.
-//! Deterministic workloads make this adequate for the regressions the
-//! benches guard — order-of-magnitude engine changes, not microarchitectural
-//! noise.
+//! The workspace is dependency-free (no criterion), so the
+//! `replay_scaling` bench is a plain `harness = false` main built on this
+//! module: warm up once, run a fixed iteration count, report
+//! mean/median/min/max. Deterministic workloads make this adequate for the
+//! comparison it makes — order-of-magnitude engine changes, not
+//! microarchitectural noise. Layer-by-layer timings with repeated samples
+//! and their spread live in the repository benchmark (`benchmark/`).
 
 use std::time::Instant;
 
@@ -63,25 +64,6 @@ pub fn bench<T>(label: &str, iters: u32, mut f: impl FnMut() -> T) -> BenchResul
     }
 }
 
-/// One result as a JSON object with a stable key order. `iters` is always
-/// present so a reader can tell a single-shot measurement (no warmup, no
-/// spread) from an averaged one.
-#[must_use]
-pub fn json_row(r: &BenchResult) -> String {
-    format!(
-        concat!(
-            "{{\"label\": \"{}\", \"iters\": {}, \"mean_ms\": {:.3}, ",
-            "\"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}"
-        ),
-        r.label.replace('\\', "\\\\").replace('"', "\\\""),
-        r.iters,
-        r.mean_ms,
-        r.median_ms,
-        r.min_ms,
-        r.max_ms,
-    )
-}
-
 /// Prints one result line in a stable, grep-friendly format.
 pub fn report(r: &BenchResult) {
     println!(
@@ -103,26 +85,6 @@ mod tests {
         assert_eq!(r.iters, 1);
         assert_eq!(r.median_ms, r.min_ms);
         assert_eq!(r.median_ms, r.max_ms);
-    }
-
-    #[test]
-    fn json_row_reports_iters_and_stable_keys() {
-        let r = BenchResult {
-            label: "lower_bound/\"q\"/64".into(),
-            iters: 1,
-            mean_ms: 1.25,
-            median_ms: 1.25,
-            min_ms: 1.25,
-            max_ms: 1.25,
-        };
-        assert_eq!(
-            json_row(&r),
-            concat!(
-                "{\"label\": \"lower_bound/\\\"q\\\"/64\", \"iters\": 1, ",
-                "\"mean_ms\": 1.250, \"median_ms\": 1.250, ",
-                "\"min_ms\": 1.250, \"max_ms\": 1.250}"
-            )
-        );
     }
 
     #[test]

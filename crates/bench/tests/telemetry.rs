@@ -227,7 +227,7 @@ fn history_ledger_round_trips_through_disk_and_diff_flags_synthetic_2x() {
     let mk = |sha: &str, wall: f64| {
         let mut metrics = BTreeMap::new();
         metrics.insert("wall_ms.exp_e9_explore".to_string(), wall);
-        metrics.insert("steps_per_sec.serial".to_string(), 1.0e6);
+        metrics.insert("wall_ms.total".to_string(), 1000.0);
         Record {
             git_sha: sha.to_string(),
             utc_date: "2026-08-10".to_string(),
@@ -236,12 +236,11 @@ fn history_ledger_round_trips_through_disk_and_diff_flags_synthetic_2x() {
         }
     };
     let path = std::env::temp_dir().join("cc_dsm_telemetry_history_test.jsonl");
-    let text = format!(
-        "{}{}",
-        mk("aaaa111", 400.0).to_line() + "\n",
-        mk("bbbb222", 900.0).to_line() + "\n"
-    );
-    std::fs::write(&path, &text).expect("write ledger");
+    let _ = std::fs::remove_file(&path);
+    let path_str = path.to_str().expect("utf-8 temp path");
+    for r in [mk("aaaa111", 400.0), mk("bbbb222", 900.0)] {
+        r.append_to(path_str).expect("append to ledger");
+    }
     let read_back = std::fs::read_to_string(&path).expect("read ledger");
     let records = history::parse_records(&read_back);
     assert_eq!(records.len(), 2);
@@ -254,10 +253,10 @@ fn history_ledger_round_trips_through_disk_and_diff_flags_synthetic_2x() {
         .find(|e| e.name == "wall_ms.exp_e9_explore")
         .expect("e9 wall compared");
     assert!(e9.regression, "2.25x wall growth must flag: {e9:?}");
-    let steps = entries
+    let total = entries
         .iter()
-        .find(|e| e.name == "steps_per_sec.serial")
-        .expect("throughput compared");
-    assert!(!steps.regression, "unchanged throughput passes");
+        .find(|e| e.name == "wall_ms.total")
+        .expect("total wall compared");
+    assert!(!total.regression, "unchanged wall passes");
     let _ = std::fs::remove_file(&path);
 }

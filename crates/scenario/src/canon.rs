@@ -63,7 +63,7 @@ pub fn e1_json(rows: &[E1Row]) -> String {
 }
 
 /// Canonical JSON for E2 rows: the deterministic adversary outcome fields,
-/// without the per-phase timings (those go in `BENCH_adversary.json`).
+/// without the per-phase timings (those are printed in the E2 table only).
 #[must_use]
 pub fn e2_json(rows: &[E2Row]) -> String {
     join_rows(

@@ -8,9 +8,9 @@
 
 /// Wall-clock phase breakdown of one adversary run (record / rounds /
 /// chase / discovery). Non-canonical: it never appears in `--canon`
-/// output, only in `BENCH_adversary.json`. Defined here (rather than in
-/// `rmr-adversary`, which re-exports it) so the E2/E8 row schemas are
-/// self-contained.
+/// output, only in the E2 and E8 tables' phase columns. Defined here
+/// (rather than in `rmr-adversary`, which re-exports it) so the E2/E8 row
+/// schemas are self-contained.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
     /// Milliseconds spent advancing processes in Part 1 (recording steps).
@@ -22,14 +22,6 @@ pub struct PhaseTimings {
     pub chase_ms: f64,
     /// Milliseconds spent on the Part-2 no-erasure discovery run.
     pub discovery_ms: f64,
-}
-
-impl PhaseTimings {
-    /// Total milliseconds across all phases.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.record_ms + self.rounds_ms + self.chase_ms + self.discovery_ms
-    }
 }
 
 /// One row of E1: the §5 algorithm priced under one cost model.

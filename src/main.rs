@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cc-dsm run <e1..e10> [scenario flags] [--canon FILE] [obs flags]
-//!                      [--json] [--speedup]                  (e2 only)
 //! cc-dsm all [--threads N] [--canon-dir DIR] [--obs-dir DIR] [--json]
 //!            [--obs-summary] [--trace-wall] [--progress[=N]] [--profile[=N]]
 //! cc-dsm serve run [--results DIR] [--joblog FILE] [--spool DIR] [--tcp ADDR]
@@ -22,15 +21,12 @@
 //! `run --canon` writes exactly the bytes a served job streams.
 //!
 //! - `run` prints the table, writes `--canon` and the observability sinks,
-//!   then the paper tie-in and the verdict. E2 adds `--json` (rows with
-//!   per-phase wall times to `BENCH_adversary.json`) and `--speedup`
-//!   (re-run at one thread, assert identical canonical rows, record the
-//!   ratio).
+//!   then the paper tie-in and the verdict.
 //! - `all` runs E1–E10 in order in this process. `--canon-dir` writes every
 //!   `eN.json`; `--obs-dir` writes each kind's metrics, Chrome trace,
-//!   progress frames, and profile; `--json` also runs the step and explore
-//!   microbenchmarks, writes `BENCH_experiments.json`, and appends one
-//!   record to the `BENCH_history.jsonl` perf ledger.
+//!   progress frames, and profile; `--json` appends one record of the walls
+//!   to the `BENCH_history.jsonl` perf ledger, the only timing record the
+//!   front end writes.
 //! - `serve` is the deterministic batch job server ([`shm_serve`]): `run`
 //!   serves manifests from a spool directory and sockets (with `--tcp` the
 //!   bound address is printed as `listening tcp HOST:PORT`; `--history`
@@ -46,16 +42,13 @@
 use bench::cli::{obs_finish, obs_install, ObsFlags};
 use bench::history::{self, DiffEntry, Record};
 use bench::run::{heading, run_rows, Rows};
-use bench::throughput::{explore_throughput, step_throughput};
-use shm_obs::Collector;
 use shm_scenario::cli::manifest_from_args;
-use shm_scenario::{E2Row, ExperimentKind, Manifest, ManifestError, ALL_KINDS};
+use shm_scenario::{ExperimentKind, Manifest, ManifestError, ALL_KINDS};
 use shm_serve::{replay, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a subcommand stopped early.
@@ -173,7 +166,6 @@ const OBS: Table = &[
 ];
 
 const RUN: Table = &[("--canon", Value)];
-const RUN_E2: Table = &[("--json", Switch), ("--speedup", Switch)];
 const ALL: Table = &[
     ("--threads", Value),
     ("--json", Switch),
@@ -306,8 +298,8 @@ fn apply_threads(m: &Manifest) {
     }
 }
 
-fn write(path: &str, body: &str) {
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+fn write(path: &str, body: &str) -> Result<(), Stop> {
+    std::fs::write(path, body).map_err(failed(format!("write {path}")))
 }
 
 // ---------------------------------------------------------------- run ----
@@ -318,175 +310,37 @@ fn cmd_run(args: &[String]) -> Outcome {
         return Err(usage("unknown_kind", "", expected));
     };
     let kind = ExperimentKind::parse(kind).ok_or_else(|| usage("unknown_kind", kind, expected))?;
-    let e2: Table = if kind == ExperimentKind::E2 {
-        RUN_E2
-    } else {
-        &[]
-    };
-    let flags = parse(rest, &[SCENARIO, OBS, RUN, e2])?;
+    let flags = parse(rest, &[SCENARIO, OBS, RUN])?;
     let m = manifest_from_args(kind, rest)?;
     apply_threads(&m);
-    let e2 = E2Outputs {
-        json: flags.has("--json"),
-        speedup: flags.has("--speedup"),
-    };
-    let (_, pass) = run_one(&m, flags.get("--canon"), &obs_flags(&flags), e2);
+    let (_, pass) = run_one(&m, flags.get("--canon"), &obs_flags(&flags))?;
     Ok(if pass { 0 } else { 1 })
 }
 
-/// The E2-only outputs of `run e2`.
-#[derive(Clone, Copy, Default)]
-struct E2Outputs {
-    /// `--json`: write `BENCH_adversary.json`.
-    json: bool,
-    /// `--speedup`: re-run at one thread and record the ratio.
-    speedup: bool,
-}
-
-/// Runs one experiment end to end: heading, table, E2 outputs, canonical
-/// file, observability sinks, then the tie-in and verdict. Every file is
-/// written before the verdict, so a failing run still leaves its
-/// counterexamples behind. Returns the rows and whether the verdict passed.
-fn run_one(m: &Manifest, canon: Option<&str>, obs: &ObsFlags, e2: E2Outputs) -> (Rows, bool) {
+/// Runs one experiment end to end: heading, table, canonical file,
+/// observability sinks, then the tie-in and verdict. Every file is written
+/// before the verdict, so a failing run still leaves its counterexamples
+/// behind. Returns the rows and whether the verdict passed.
+fn run_one(m: &Manifest, canon: Option<&str>, obs: &ObsFlags) -> Result<(Rows, bool), Stop> {
     let collector = obs_install(obs);
     println!("{}\n", heading(m));
-    let t = Instant::now();
     let rows = run_rows(m);
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     rows.print_table();
-    if let Rows::E2(e2_rows) = &rows {
-        e2_outputs(m, e2_rows, wall_ms, e2, collector.as_ref());
-    }
     if let Some(path) = canon {
-        write(path, &rows.canon());
+        write(path, &rows.canon())?;
         println!("\nwrote {path}");
     }
-    obs_finish(obs, collector.as_ref());
+    obs_finish(obs, collector.as_ref()).map_err(Stop::Failed)?;
     let pass = rows.report(m);
-    (rows, pass)
-}
-
-fn e2_outputs(
-    m: &Manifest,
-    rows: &[E2Row],
-    wall_ms: f64,
-    out: E2Outputs,
-    collector: Option<&Arc<Collector>>,
-) {
-    let threads = shm_pool::threads();
-    let serial = out.speedup.then(|| {
-        println!("\n--speedup: re-running the sweep at --threads 1 ...");
-        // Start the recording over: the sink files should cover one sweep,
-        // not the parallel run plus this re-run. Determinism makes the
-        // serial recording byte-identical to the parallel one anyway.
-        if let Some(c) = collector {
-            c.clear();
-        }
-        shm_pool::set_threads(1);
-        let t = Instant::now();
-        let Rows::E2(serial_rows) = run_rows(m) else {
-            unreachable!("an e2 manifest yields e2 rows")
-        };
-        let serial_wall = t.elapsed().as_secs_f64() * 1e3;
-        shm_pool::set_threads(threads);
-        assert_eq!(
-            shm_scenario::canon::e2_json(&serial_rows),
-            shm_scenario::canon::e2_json(rows),
-            "serial and parallel sweeps must agree on every deterministic field"
-        );
-        println!(
-            "wall: {wall_ms:.1} ms at {threads} threads vs {serial_wall:.1} ms serial ({:.2}x)",
-            serial_wall / wall_ms.max(1e-9),
-        );
-        (serial_rows, serial_wall)
-    });
-    if out.json {
-        let path = "BENCH_adversary.json";
-        let serial = serial.as_ref().map(|(r, w)| (r.as_slice(), *w));
-        write(path, &adversary_json(rows, threads, wall_ms, serial));
-        println!("\nwrote {path}");
-    }
-}
-
-/// Ratio rendered as JSON: `serial / parallel`, `null` when not measured or
-/// when the parallel denominator is ~0.
-fn speedup_json(serial: Option<f64>, parallel: f64) -> String {
-    match serial {
-        Some(s) if parallel > 1e-9 => format!("{:.3}", s / parallel),
-        _ => "null".to_string(),
-    }
-}
-
-/// `BENCH_adversary.json`: the E2 rows with per-phase wall times, plus the
-/// serial re-run's walls and speedups under `--speedup`.
-fn adversary_json(
-    rows: &[E2Row],
-    threads: usize,
-    wall_ms: f64,
-    serial: Option<(&[E2Row], f64)>,
-) -> String {
-    let serial_wall = serial.map_or_else(|| "null".into(), |(_, w)| format!("{w:.3}"));
-    let mut out = format!(
-        "{{\"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \"serial_wall_ms\": {serial_wall}, \
-         \"speedup\": {}, \"rows\": [\n",
-        speedup_json(serial.map(|(_, w)| w), wall_ms),
-    );
-    let phases = |r: &E2Row| {
-        let t = &r.timings;
-        [
-            ("record", t.record_ms),
-            ("rounds", t.rounds_ms),
-            ("chase", t.chase_ms),
-            ("discovery", t.discovery_ms),
-            ("total", t.total_ms()),
-        ]
-    };
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            concat!(
-                "  {{\"algorithm\": \"{}\", \"n\": {}, \"stabilized\": {}, ",
-                "\"stable\": {}, \"chase_signaler_rmrs\": {}, \"chase_erased\": {}, ",
-                "\"blocked\": {}, \"amortized\": {:.4}, \"violation\": {}, ",
-                "\"out_of_contract\": {}, \"audit_clean\": {}, \"audit_divergence\": {}, ",
-                "\"obs\": {}, \"threads\": {}, \"iters\": 1"
-            ),
-            shm_scenario::json::escape(&r.algorithm),
-            r.n,
-            r.stabilized,
-            r.stable,
-            r.chase_signaler_rmrs,
-            r.chase_erased,
-            r.blocked,
-            r.amortized,
-            r.violation,
-            r.out_of_contract,
-            r.audit_clean.map_or("null".into(), |c| c.to_string()),
-            // The divergence and obs blocks are JSON objects already.
-            r.audit_divergence.as_deref().unwrap_or("null"),
-            r.obs.as_deref().unwrap_or("null"),
-            threads,
-        );
-        for (phase, ms) in phases(r) {
-            let _ = write!(out, ", \"{phase}_ms\": {ms:.3}");
-        }
-        let serial_phases = serial.map(|(s, _)| phases(&s[i]));
-        for (j, (phase, ms)) in phases(r).into_iter().enumerate() {
-            let s = serial_phases.map(|p| p[j].1);
-            let _ = write!(out, ", \"{phase}_speedup\": {}", speedup_json(s, ms));
-        }
-        out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("]}\n");
-    out
+    Ok((rows, pass))
 }
 
 // ---------------------------------------------------------------- all ----
 
-/// The name each kind's wall is recorded under in the perf ledger and
-/// `BENCH_experiments.json` (and its `--obs-dir` files are named after),
-/// in [`ALL_KINDS`] order — the experiments' historical names, kept so the
-/// ledger's baseline carries over.
+/// The name each kind's wall is recorded under in the perf ledger (and its
+/// `--obs-dir` files are named after), in [`ALL_KINDS`] order — the
+/// experiments' historical names, kept so the ledger's baseline carries
+/// over.
 const LEDGER_NAMES: [&str; 10] = [
     "exp_e1_cc_upper",
     "exp_e2_dsm_lower",
@@ -514,7 +368,6 @@ fn cmd_all(args: &[String]) -> Outcome {
     apply_threads(&manifests[0]);
     let base_obs = obs_flags(&flags);
     let mut metrics = BTreeMap::new();
-    let mut walls = String::new();
     let mut total_ms = 0.0;
     for (m, name) in manifests.iter().zip(LEDGER_NAMES) {
         println!("\n================================================================");
@@ -530,17 +383,13 @@ fn cmd_all(args: &[String]) -> Outcome {
         };
         let canon = canon_dir.map(|d| format!("{d}/{}.json", m.kind.as_str()));
         let t = Instant::now();
-        let (rows, pass) = run_one(m, canon.as_deref(), &obs, E2Outputs::default());
+        let (rows, pass) = run_one(m, canon.as_deref(), &obs)?;
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         if !pass {
             return Ok(1);
         }
         total_ms += wall_ms;
         metrics.insert(format!("wall_ms.{name}"), wall_ms);
-        let _ = writeln!(
-            walls,
-            "  {{\"experiment\": \"{name}\", \"iters\": 1, \"wall_ms\": {wall_ms:.3}}},"
-        );
         if let Rows::E9(rows) = &rows {
             // The E9 rows carry the deterministic memory trajectory; summed
             // over rows they give the suite's logical peak/spill figures.
@@ -554,35 +403,16 @@ fn cmd_all(args: &[String]) -> Outcome {
     }
     metrics.insert("wall_ms.total".into(), total_ms);
     if flags.has("--json") {
-        record_suite(&walls, total_ms, metrics);
+        // One record in the ledger `cc-dsm diff` compares the latest record
+        // of against the per-metric median of the previous runs.
+        let record = Record::now(shm_pool::threads(), metrics);
+        let ledger = "BENCH_history.jsonl";
+        record
+            .append_to(ledger)
+            .map_err(failed(format!("append {ledger}")))?;
+        println!("\nappended {ledger} ({})", record.git_sha);
     }
     Ok(0)
-}
-
-/// Runs the step and explore microbenchmarks, writes
-/// `BENCH_experiments.json` (every wall plus the microbenchmark entries;
-/// `total_wall_ms` sums E1–E10 only), and appends one perf-history record
-/// to `BENCH_history.jsonl` — the ledger `cc-dsm diff` compares the latest
-/// record of against the per-metric median of the previous runs.
-fn record_suite(walls: &str, total_ms: f64, mut metrics: BTreeMap<String, f64>) {
-    let threads = shm_pool::threads();
-    println!("\n== microbenchmarks\n");
-    let step = step_throughput(threads, &mut metrics);
-    let explore = explore_throughput(threads, &mut metrics);
-    write(
-        "BENCH_experiments.json",
-        &format!(
-            "{{\"threads\": {threads}, \"experiments\": [\n{walls}  {step},\n  {explore}\n], \
-             \"total_wall_ms\": {total_ms:.3}}}\n"
-        ),
-    );
-    println!("\nwrote BENCH_experiments.json");
-    let record = Record::now(threads, metrics);
-    let ledger = "BENCH_history.jsonl";
-    record
-        .append_to(ledger)
-        .unwrap_or_else(|e| panic!("append {ledger}: {e}"));
-    println!("appended {ledger} ({})", record.git_sha);
 }
 
 // -------------------------------------------------------------- serve ----
@@ -798,7 +628,7 @@ fn cmd_diff(args: &[String]) -> Outcome {
         );
     }
     if let Some(out) = flags.get("--out") {
-        write(out, &diff_artifact(&entries, regressions));
+        write(out, &diff_artifact(&entries, regressions))?;
         println!("wrote {out}");
     }
     if regressions == 0 {

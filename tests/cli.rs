@@ -3,8 +3,10 @@
 //! silent default) and `run --canon` writing exactly the bytes
 //! `bench::run::run_manifest` — the job server's dispatch — returns.
 
+use bench::history::Record;
 use bench::run::run_manifest;
 use shm_scenario::{json, Manifest};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -58,10 +60,44 @@ fn misspelt_flag_is_rejected() {
     assert_rejected(&["run", "e9", "--size", "4"], "unknown_flag");
 }
 
+/// `run` writes no timing file for any kind: the perf ledger (`all --json`)
+/// is the only one.
 #[test]
-fn e2_only_flags_are_rejected_for_other_kinds() {
+fn timing_flags_are_rejected_for_every_kind() {
     assert_rejected(&["run", "e1", "--speedup"], "unknown_flag");
     assert_rejected(&["run", "e5", "--json"], "unknown_flag");
+    assert_rejected(&["run", "e2", "--json"], "unknown_flag");
+    assert_rejected(&["run", "e2", "--speedup"], "unknown_flag");
+}
+
+/// Asserts `args` fails at run time: exit 1, a `cc-dsm: write PATH: ...`
+/// message on stderr, and no panic.
+fn assert_write_fails(args: &[&str], path: &str) {
+    let out = cc_dsm(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("cc-dsm: write {path}: ")),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn unwritable_output_files_exit_1_without_a_panic() {
+    let canon = "/nonexistent-dir/e5.json";
+    assert_write_fails(&["run", "e5", "--canon", canon], canon);
+    let metrics = "/nonexistent-dir/m.json";
+    assert_write_fails(&["run", "e5", "--metrics", metrics], metrics);
+    // `diff` writes its artifact even with no baseline, so one record does.
+    let ledger = scratch("history.jsonl");
+    let ledger_str = ledger.to_str().expect("utf-8 path");
+    Record::now(1, BTreeMap::from([("wall_ms.total".to_string(), 10.0)]))
+        .append_to(ledger_str)
+        .expect("write ledger");
+    let out = "/nonexistent-dir/d.json";
+    assert_write_fails(&["diff", "--history", ledger_str, "--out", out], out);
+    let _ = std::fs::remove_file(&ledger);
 }
 
 #[test]
