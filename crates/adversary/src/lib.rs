@@ -41,6 +41,9 @@ pub mod transform;
 pub use fixed_w::{fixed_waiters_signaler_cost, FixedWaitersCost};
 pub use graph::ConflictGraph;
 pub use part1::{Part1Config, Part1Outcome, Part1Runner};
-pub use part2::{run_lower_bound, LowerBoundConfig, LowerBoundReport, SignalRun};
+pub use part2::{
+    choose_signaler, run_lower_bound, run_signal_phase, LowerBoundConfig, LowerBoundReport,
+    SignalRun,
+};
 pub use report::{PhaseTimings, RoundReport};
 pub use transform::{ReadWriteTransformed, RwEmulation};

@@ -214,7 +214,8 @@ impl LowerBoundReport {
 /// Picks the signaler: a process that took no steps and whose memory module
 /// was never written (the lemma's choice), falling back to any non-finished
 /// process with an unwritten module.
-fn choose_signaler(runner: &Part1Runner, n: usize) -> Option<ProcId> {
+#[must_use]
+pub fn choose_signaler(runner: &Part1Runner, n: usize) -> Option<ProcId> {
     let mem = runner.sim.memory();
     let mut written_modules: BTreeSet<ProcId> = BTreeSet::new();
     for i in 0..mem.len() {
@@ -267,9 +268,12 @@ fn rebuild(
     sim
 }
 
-/// Runs one signal phase. `erase_on_sight` distinguishes chase from
-/// discovery.
-fn run_signal_phase(
+/// Runs one signal phase of `s`'s `Signal()` against `runner`'s Part-1
+/// execution, with at most `max_steps` signaler steps. `erase_on_sight`
+/// distinguishes the chase (erase every stable waiter `s` is about to see
+/// or touch) from discovery.
+#[must_use]
+pub fn run_signal_phase(
     runner: &Part1Runner,
     s: ProcId,
     erase_on_sight: bool,

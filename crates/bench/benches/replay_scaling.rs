@@ -1,15 +1,26 @@
-//! How erasure cost scales with history length: full from-scratch
-//! `Simulator::replay` versus `erase_certified_in_place` on a clone of a
-//! checkpointed recording, under DSM (event-walk surgery) and a CC model
-//! (re-step from the latest checkpoint), at two checkpoint intervals.
+//! How erasure cost scales, in two shapes.
 //!
-//! The erased victim is chosen to first step late in the recording, so the
-//! in-place erasure only walks or re-steps a short suffix while the
-//! reference pays for the whole history. Nobody steps after the victim, so
-//! its erasure is always accepted.
+//! * **One late erasure**: full from-scratch `Simulator::replay` versus
+//!   `erase_certified_in_place` on a clone of a checkpointed recording,
+//!   under DSM (event-walk surgery) and a CC model (re-step from the latest
+//!   checkpoint), at two checkpoint intervals. The erased victim first
+//!   steps late in the recording, so the in-place erasure only walks or
+//!   re-steps a short suffix while the reference pays for the whole
+//!   history. Nobody steps after the victim, so its erasure is always
+//!   accepted.
+//! * **The chase**: an adversary Part 1 recorded at n = 1024 (pid stripes
+//!   16 words wide), then Part 2's wild goose chase on it — the signaler
+//!   runs `Signal()` and every stable waiter it is about to see or touch
+//!   is erased first, one by one, each call taking the whole erased set.
+//!   Broadcast accepts every erasure; queue-faa refuses every one. Many
+//!   early victims, both verdicts: the shape the §6 adversary actually
+//!   drives, which a single late victim does not predict.
 
 use bench::timing::{bench, report};
+use rmr_adversary::{choose_signaler, run_signal_phase, LowerBoundConfig, Part1Runner};
 use shm_sim::*;
+use signaling::algorithms::{Broadcast, QueueSignaling};
+use signaling::SignalingAlgorithm;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -100,5 +111,34 @@ fn main() {
                 report(&r);
             }
         }
+    }
+
+    println!("the chase: every stable waiter erased on sight, one call each (dsm)");
+    let cfg = LowerBoundConfig::for_n(1024);
+    let n = cfg.part1.n;
+    let cases: [(&str, &dyn SignalingAlgorithm, bool); 2] = [
+        ("broadcast", &Broadcast, true),
+        ("queue-faa", &QueueSignaling, false),
+    ];
+    for (name, algo, accepts) in cases {
+        let mut runner = Part1Runner::new(algo, cfg.part1);
+        assert!(runner.run().stabilized, "{name}: Part 1 did not stabilize");
+        let s = choose_signaler(&runner, n).expect("a signaler exists");
+        let chase = || run_signal_phase(&runner, s, true, cfg.max_chase_steps);
+        let run = chase();
+        let (accepted, refused) = (run.erased.len(), run.blocked);
+        let victims = accepted + refused;
+        assert_eq!(
+            (accepted, refused),
+            if accepts { (victims, 0) } else { (0, victims) },
+            "{name}: chase verdicts"
+        );
+        assert!(victims > n / 2, "{name}: only {victims} chase erasures");
+        let verdict = if accepts { "accepted" } else { "refused" };
+        report(&bench(
+            &format!("chase/{name}/n={n}/{verdict}={victims}"),
+            5,
+            chase,
+        ));
     }
 }

@@ -199,6 +199,11 @@ pub mod registry {
             help: "erasures refused by projection certification",
         },
         CounterDef {
+            name: "erase.walk_events",
+            deterministic: true,
+            help: "history events visited by the DSM erasure certification walk",
+        },
+        CounterDef {
             name: "fingerprint.exact_check",
             deterministic: true,
             help: "exact projection cross-checks of the rolling-hash fingerprints",

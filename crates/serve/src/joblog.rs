@@ -99,9 +99,9 @@ impl Event {
         }
     }
 
-    /// Parses one job-log line. `Err` carries a description; callers decide
-    /// whether a malformed log is fatal (replay: yes; startup scan: yes —
-    /// an append-only log this process also writes must parse).
+    /// Parses one job-log line. `Err` carries a description; a malformed
+    /// line is fatal to [`read_all`] and [`recover`] (an append-only log
+    /// this process also writes must parse) unless it is a torn final line.
     pub fn parse_line(line: &str) -> Result<Event, String> {
         let v = json::parse(line).map_err(|e| format!("bad joblog line: {e}"))?;
         if v.get("schema").and_then(Value::as_str) != Some(JOBLOG_SCHEMA) {
@@ -204,16 +204,80 @@ pub fn append(path: &Path, event: &Event) -> std::io::Result<()> {
 }
 
 /// Parses every line of a job log. Empty/missing file parses to no events.
+///
+/// A crash mid-[`append`] can leave the last line without its newline. If
+/// that line still parses it is a whole record and is kept; if not, it is
+/// a torn tail, dropped with a one-line notice on stderr. A malformed line
+/// that ends in a newline is an error: a torn append cannot leave one.
 pub fn read_all(path: &Path) -> Result<Vec<Event>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+    Ok(scan(path)?.0)
+}
+
+/// [`read_all`] for a server about to append to the log: a torn tail is
+/// also cut from the file, and a whole but unterminated last record gets
+/// its newline, so the next append starts a line of its own.
+pub(crate) fn recover(path: &Path) -> Result<Vec<Event>, String> {
+    let (events, end) = scan(path)?;
+    let repaired = match end {
+        End::Clean => Ok(()),
+        End::Unterminated => std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(b"\n")),
+        End::Torn { at } => std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_len(at)),
+    };
+    repaired.map_err(|e| format!("repair {}: {e}", path.display()))?;
+    Ok(events)
+}
+
+/// How a job log ends.
+enum End {
+    /// Empty, or every line ends in a newline.
+    Clean,
+    /// The last line is a whole record without its newline.
+    Unterminated,
+    /// The last line is a torn record starting at byte `at`.
+    Torn { at: u64 },
+}
+
+/// Parses a job log and reports how it ends (see [`read_all`]).
+fn scan(path: &Path) -> Result<(Vec<Event>, End), String> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(Event::parse_line)
-        .collect()
+    let mut events = Vec::new();
+    let mut start = 0;
+    while let Some(k) = bytes[start..].iter().position(|&b| b == b'\n') {
+        let line = std::str::from_utf8(&bytes[start..start + k])
+            .map_err(|e| format!("bad joblog line at byte {start}: {e}"))?;
+        if !line.trim().is_empty() {
+            events.push(Event::parse_line(line)?);
+        }
+        start += k + 1;
+    }
+    let tail = &bytes[start..];
+    let end = if tail.is_empty() {
+        End::Clean
+    } else if let Some(e) = std::str::from_utf8(tail)
+        .ok()
+        .and_then(|l| Event::parse_line(l).ok())
+    {
+        events.push(e);
+        End::Unterminated
+    } else {
+        eprintln!(
+            "joblog {}: dropped a torn {}-byte final line",
+            path.display(),
+            tail.len()
+        );
+        End::Torn { at: start as u64 }
+    };
+    Ok((events, end))
 }
 
 #[cfg(test)]

@@ -155,7 +155,7 @@ impl Server {
             std::fs::create_dir_all(spool)?;
         }
         let mut completed = BTreeMap::new();
-        let events = joblog::read_all(&cfg.joblog)
+        let events = joblog::recover(&cfg.joblog)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         for ev in events {
             if let Event::Completed {

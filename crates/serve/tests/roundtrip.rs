@@ -268,3 +268,100 @@ fn spool_reject_leaves_structured_error_file() {
     assert_eq!(header_field(err, "field").as_str(), Some("n"));
     assert!(!spool.join("bad_e5.json").exists(), "spool file consumed");
 }
+
+/// Serves the spool manifests in `jobs` with a fresh server on `joblog`.
+fn serve_spool(dir: &std::path::Path, joblog: &std::path::Path, jobs: &[(&str, &str)]) {
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).unwrap();
+    for (name, manifest) in jobs {
+        std::fs::write(spool.join(name), manifest).unwrap();
+    }
+    let server = Server::bind(ServeConfig {
+        results_dir: dir.join("results"),
+        joblog: joblog.to_path_buf(),
+        spool: Some(spool),
+        max_jobs: Some(jobs.len() as u64),
+        idle_exit_ms: Some(30_000),
+        poll_ms: 5,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let stats = server.run().expect("server run");
+    shm_pool::set_threads(0);
+    assert_eq!(stats.completed, jobs.len() as u64, "{stats:?}");
+}
+
+/// A crash mid-append leaves half a `completed` line at the end of the job
+/// log. Replay drops that torn tail; a restarted server cuts it from the
+/// file before appending, so its own records start on a line of their own
+/// and the log replays clean. A whole last record that lost only its
+/// newline is kept and terminated. A malformed line in the middle of the
+/// log is still an error, for replay and restart alike.
+#[test]
+fn torn_joblog_tail_is_dropped_on_restart_and_replay() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("torn");
+    let joblog = dir.join("JOBLOG.jsonl");
+    serve_spool(
+        &dir,
+        &joblog,
+        &[(
+            "a.json",
+            r#"{"schema":"cc-dsm/manifest/v1","kind":"e5","n":4}"#,
+        )],
+    );
+    let whole = std::fs::read_to_string(&joblog).unwrap();
+    let last = whole.lines().last().unwrap();
+    assert!(last.contains("\"completed\""), "{last}");
+    let torn = format!("{whole}{}", &last[..last.len() / 2]);
+    std::fs::write(&joblog, &torn).unwrap();
+
+    let report = replay(&joblog, None).expect("replay of a torn log");
+    shm_pool::set_threads(0);
+    assert!(report.clean(), "replay mismatches: {:?}", report.mismatches);
+    assert_eq!(report.verified, 1, "{report:?}");
+
+    serve_spool(
+        &dir,
+        &joblog,
+        &[(
+            "b.json",
+            r#"{"schema":"cc-dsm/manifest/v1","kind":"e5","n":3}"#,
+        )],
+    );
+    let after = std::fs::read_to_string(&joblog).unwrap();
+    assert!(after.starts_with(&whole), "the torn tail was not cut");
+    let report = replay(&joblog, None).expect("replay after restart");
+    shm_pool::set_threads(0);
+    assert!(report.clean(), "replay mismatches: {:?}", report.mismatches);
+    assert_eq!(report.verified, 2, "{report:?}");
+
+    std::fs::write(&joblog, after.trim_end_matches('\n')).unwrap();
+    assert_eq!(shm_serve::joblog::read_all(&joblog).unwrap().len(), 4);
+    drop(
+        Server::bind(ServeConfig {
+            results_dir: dir.join("results"),
+            joblog: joblog.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("bind on an unterminated last record"),
+    );
+    assert_eq!(std::fs::read_to_string(&joblog).unwrap(), after);
+
+    let (head, rest) = after.split_at(after.find('\n').unwrap() + 1);
+    std::fs::write(
+        &joblog,
+        format!("{head}{}\n{rest}", &last[..last.len() / 2]),
+    )
+    .unwrap();
+    assert!(replay(&joblog, None).is_err(), "a malformed middle line");
+    assert!(
+        Server::bind(ServeConfig {
+            results_dir: dir.join("results"),
+            joblog: joblog.clone(),
+            ..ServeConfig::default()
+        })
+        .is_err(),
+        "restart on a malformed middle line"
+    );
+}

@@ -386,26 +386,61 @@ impl History {
     /// `sees`: `(event index, new value)` pairs in ascending index order,
     /// indexing the log before removal.
     ///
+    /// `from` is a lower bound on the index of the first event to remove:
+    /// no event before it belongs to a `gone` process. The sealed chunks
+    /// that lie wholly before the first removed event or `sees` fix stay
+    /// shared as they are; only the suffix from there on is rewritten.
+    ///
     /// Survivors' projections and fingerprints are untouched: this is only
     /// sound when the caller has certified that no surviving projection
     /// changes under the erasure (Lemma 6.7), which is exactly when the
     /// simulator's DSM surgery uses it.
-    pub(crate) fn erase_pids(&mut self, gone: &[bool], sees: &[(usize, Option<ProcId>)]) {
+    pub(crate) fn erase_pids(
+        &mut self,
+        gone: &[bool],
+        sees: &[(usize, Option<ProcId>)],
+        from: usize,
+    ) {
+        let is_gone = |e: &Event| gone.get(e.pid().index()).copied().unwrap_or(false);
+        debug_assert!(
+            !self.events.iter().take(from).any(is_gone),
+            "erase_pids: an erased event precedes `from`"
+        );
+        let first_gone = self
+            .events
+            .iter_from(from)
+            .position(is_gone)
+            .map_or(self.events.len(), |k| from + k);
+        let cut = sees
+            .first()
+            .map_or(first_gone, |&(at, _)| at.min(first_gone));
+        let keep = (cut / CHUNK).min(self.events.sealed.len());
+        let suffix = self.events.sealed.split_off(keep);
+        let tail = std::mem::replace(&mut self.events.tail, chunk_buf());
         let mut fixes = sees.iter().peekable();
-        let mut kept = EventLog::default();
-        for (i, e) in self.events.iter().enumerate() {
-            if gone.get(e.pid().index()).copied().unwrap_or(false) {
+        for (i, e) in suffix
+            .iter()
+            .flat_map(|c| c.iter())
+            .chain(tail.iter())
+            .enumerate()
+        {
+            if is_gone(e) {
                 continue;
             }
             let mut e = e.clone();
-            if let Some(&(_, q)) = fixes.next_if(|&&(at, _)| at == i) {
+            if let Some(&(_, q)) = fixes.next_if(|&&(at, _)| at == keep * CHUNK + i) {
                 if let Event::Access { sees, .. } = &mut e {
                     *sees = q;
                 }
             }
-            kept.push(e);
+            self.events.push(e);
         }
-        self.events = kept;
+        for arc in suffix {
+            if let Ok(buf) = Arc::try_unwrap(arc) {
+                recycle_chunk(buf);
+            }
+        }
+        recycle_chunk(tail);
         for (i, h) in self.proj_hash.iter_mut().enumerate() {
             if gone.get(i).copied().unwrap_or(false) {
                 *h = FP_EMPTY;

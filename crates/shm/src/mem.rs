@@ -232,10 +232,27 @@ impl PidTable {
         self.bits[cell * self.stride..(cell + 1) * self.stride].fill(0);
     }
 
+    /// `cell`'s stripe: `stride` words of pid bits.
+    #[inline]
+    fn stripe(&self, cell: usize) -> &[u64] {
+        &self.bits[cell * self.stride..(cell + 1) * self.stride]
+    }
+
+    /// Overwrites `cell`'s set with `words`, a stripe of any width: a
+    /// narrower one is zero-extended, a wider one widens the table first.
+    #[inline]
+    fn set_stripe(&mut self, cell: usize, words: &[u64]) {
+        if words.len() > self.stride {
+            self.restride(words.len());
+        }
+        let dst = &mut self.bits[cell * self.stride..(cell + 1) * self.stride];
+        dst[..words.len()].copy_from_slice(words);
+        dst[words.len()..].fill(0);
+    }
+
     /// Members of `cell`'s set in ascending pid order.
     fn iter_cell(&self, cell: usize) -> impl Iterator<Item = ProcId> + '_ {
-        let stripe = &self.bits[cell * self.stride..(cell + 1) * self.stride];
-        stripe.iter().enumerate().flat_map(|(w, &word)| {
+        self.stripe(cell).iter().enumerate().flat_map(|(w, &word)| {
             let base = w as u32 * 64;
             BitIter(word).map(move |b| ProcId(base + b))
         })
@@ -273,6 +290,20 @@ impl Iterator for BitIter {
 
 /// Sentinel in the dense owner / last-writer columns: no process.
 const NO_PROC: u32 = u32::MAX;
+
+/// Saved states of individual cells — value, last writer, writer set and
+/// reservations — that [`Memory::restore_cells`] writes back. The DSM
+/// erasure walk rolls cells of the live memory back in place and keeps
+/// their live states here, so a refusal costs only the cells it reached.
+#[derive(Debug, Default)]
+pub(crate) struct CellUndo {
+    /// `(cell, value, last writer, writers stripe width, reservations
+    /// stripe width)` per saved cell.
+    cells: Vec<(usize, Word, u32, usize, usize)>,
+    /// Each saved cell's writers stripe followed by its reservations
+    /// stripe, in save order.
+    words: Vec<u64>,
+}
 
 /// The flat cell array with atomic-operation semantics.
 ///
@@ -376,8 +407,46 @@ impl Memory {
     /// Processes currently holding an LL reservation on `addr` (ascending
     /// pid order). The audit layer seeds and boundary-checks its naive
     /// shadow cells with these.
-    pub(crate) fn reservations(&self, addr: Addr) -> impl Iterator<Item = ProcId> + '_ {
+    pub fn reservations(&self, addr: Addr) -> impl Iterator<Item = ProcId> + '_ {
         self.reservations.iter_cell(addr.index())
+    }
+
+    /// Appends `cell`'s whole state to `undo`.
+    pub(crate) fn save_cell(&self, cell: usize, undo: &mut CellUndo) {
+        let (w, r) = (self.writers.stripe(cell), self.reservations.stripe(cell));
+        undo.cells.push((
+            cell,
+            self.values[cell],
+            self.last_writer[cell],
+            w.len(),
+            r.len(),
+        ));
+        undo.words.extend_from_slice(w);
+        undo.words.extend_from_slice(r);
+    }
+
+    /// Writes every state saved in `undo` back into its cell. Each cell
+    /// must have been saved at most once, so the order does not matter.
+    pub(crate) fn restore_cells(&mut self, undo: &CellUndo) {
+        let mut at = 0;
+        for &(cell, value, writer, w, r) in &undo.cells {
+            self.values[cell] = value;
+            self.last_writer[cell] = writer;
+            self.writers.set_stripe(cell, &undo.words[at..at + w]);
+            self.reservations
+                .set_stripe(cell, &undo.words[at + w..at + w + r]);
+            at += w + r;
+        }
+    }
+
+    /// Copies `cell`'s whole state from `src`, an image of the same layout
+    /// whose pid stripes may be narrower or wider than this one's.
+    pub(crate) fn copy_cell_from(&mut self, src: &Memory, cell: usize) {
+        self.values[cell] = src.values[cell];
+        self.last_writer[cell] = src.last_writer[cell];
+        self.writers.set_stripe(cell, src.writers.stripe(cell));
+        self.reservations
+            .set_stripe(cell, src.reservations.stripe(cell));
     }
 
     /// Drops the LL reservations of the processes marked in `gone` (indexed
@@ -642,6 +711,48 @@ mod tests {
         let g = layout.alloc_global_array(2, 3);
         assert_eq!(layout.owner(g.at(1)), None);
         assert_eq!(layout.initial_value(g.at(0)), 3);
+    }
+
+    /// Every observable of one cell: value, last writer, writer set and
+    /// reservations.
+    fn cell_state(m: &Memory, a: Addr) -> (Word, Option<ProcId>, Vec<ProcId>, Vec<ProcId>) {
+        (
+            m.peek(a),
+            m.last_writer(a),
+            m.writers(a).collect(),
+            m.reservations(a).collect(),
+        )
+    }
+
+    /// Cell-wise save, roll-back and restore round-trip whole cell states
+    /// between images whose pid stripes differ in width, including a
+    /// widening in between.
+    #[test]
+    fn cell_save_copy_and_restore_across_stripe_widths() {
+        let mut layout = MemLayout::new();
+        let a = layout.alloc_global(1);
+        let b = layout.alloc_local(ProcId(2), 2);
+        let base = Memory::from_layout(&layout);
+        let mut m = base.clone();
+        m.apply(ProcId(130), Op::Write(a, 7));
+        m.apply(ProcId(3), Op::Ll(a));
+        m.apply(ProcId(129), Op::Ll(b));
+        let live = [cell_state(&m, a), cell_state(&m, b)];
+
+        let mut undo = CellUndo::default();
+        for cell in [a, b] {
+            m.save_cell(cell.index(), &mut undo);
+            m.copy_cell_from(&base, cell.index());
+            assert_eq!(cell_state(&m, cell), cell_state(&base, cell));
+        }
+        m.apply(ProcId(200), Op::Write(b, 9));
+        m.restore_cells(&undo);
+        assert_eq!([cell_state(&m, a), cell_state(&m, b)], live);
+
+        let mut narrow = base.clone();
+        narrow.copy_cell_from(&m, a.index());
+        assert_eq!(cell_state(&narrow, a), live[0]);
+        assert_eq!(cell_state(&narrow, b), cell_state(&base, b));
     }
 
     /// Straightforward one-struct-per-cell reference semantics, against

@@ -4,7 +4,7 @@
 use crate::event::{Event, History};
 use crate::ids::{ProcId, Word};
 use crate::machine::{Call, CallKind, Step};
-use crate::mem::{MemLayout, Memory};
+use crate::mem::{CellUndo, MemLayout, Memory};
 use crate::model::{AccessCost, CostModel, CostState};
 use crate::op::Op;
 use crate::source::CallSource;
@@ -143,6 +143,31 @@ pub(crate) struct ProcState {
     pub(crate) stats: ProcStats,
 }
 
+impl ProcState {
+    /// The state [`Simulator::new`] starts every process in.
+    fn initial(source: Box<dyn CallSource>) -> Self {
+        ProcState {
+            source,
+            current: None,
+            last_op_result: None,
+            last_return: None,
+            status: Status::Runnable,
+            stats: ProcStats::default(),
+        }
+    }
+
+    /// Whether this is still [`ProcState::initial`]. A source only advances
+    /// inside a step, which counts in `stats.steps`; a crash or an injected
+    /// call changes `status` or `current` without one.
+    fn is_initial(&self) -> bool {
+        self.status == Status::Runnable
+            && self.current.is_none()
+            && self.last_op_result.is_none()
+            && self.last_return.is_none()
+            && self.stats == ProcStats::default()
+    }
+}
+
 /// An injected call, recorded so the re-step erasure path and the audit can
 /// re-apply it.
 ///
@@ -164,8 +189,10 @@ pub(crate) struct Injection {
 /// Taken every [`Simulator::enable_checkpoints`] interval during recording,
 /// checkpoints let [`Simulator::erase_certified_in_place`] start from the
 /// latest state before the erased processes' first step instead of from
-/// scratch — the re-step path restores one, the DSM event walk seeds its
-/// memory image from one — and shard the audit's re-execution.
+/// scratch — the re-step path restores one; the DSM event walk rolls each
+/// live cell it reaches back to one's memory image, cell by cell, and
+/// bounds where the history surgery starts — and shard the audit's
+/// re-execution.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     schedule_len: usize,
@@ -298,16 +325,7 @@ impl Simulator {
         let procs = spec
             .sources
             .iter()
-            .map(|s| {
-                Arc::new(ProcState {
-                    source: s.clone(),
-                    current: None,
-                    last_op_result: None,
-                    last_return: None,
-                    status: Status::Runnable,
-                    stats: ProcStats::default(),
-                })
-            })
+            .map(|s| Arc::new(ProcState::initial(s.clone())))
             .collect();
         let n = spec.n();
         Simulator {
@@ -530,28 +548,36 @@ impl Simulator {
     ///
     /// The path is picked from the cost model:
     ///
-    /// * **DSM** — an event walk, no step machine re-executed. A survivor's
-    ///   machine state is a function of the results it has observed, so it
-    ///   suffices to re-apply the recorded `Access` ops of survivors against
-    ///   a filtered memory image (seeded from the latest checkpoint
-    ///   preceding the erased processes' first nontrivial access) and
+    /// * **DSM** — an event walk in place: no step machine re-executed and
+    ///   no memory image copied. A survivor's machine state is a function
+    ///   of the results it has observed, so it suffices to re-apply the
+    ///   recorded `Access` ops of survivors against the filtered memory and
     ///   compare each result with the recording: the first mismatch is
     ///   exactly the first projection divergence, and a mismatch-free walk
-    ///   proves every surviving projection unchanged. Acceptance is applied
-    ///   by surgery — memory takes the walk's image, the erased events and
-    ///   steps are filtered out of the log and schedule, survivors' `sees`
-    ///   attributions are recomputed against the filtered image, and the
-    ///   erased machines reset. DSM access costs depend only on the static
-    ///   cell placement, so survivor stats are reused verbatim.
+    ///   proves every surviving projection unchanged. The walk starts at
+    ///   the latest checkpoint preceding the erased processes' first
+    ///   nontrivial access and runs on the live memory: the first access to
+    ///   a cell rolls that cell back to the checkpoint's state, saving its
+    ///   live state in an undo log that a refusal plays back. A cell the
+    ///   walk never reaches was not accessed since the checkpoint, so its
+    ///   live state already is the filtered one. Acceptance is applied by
+    ///   surgery — memory keeps the walk's image; the erased events and
+    ///   steps are filtered out of the log and schedule from the first
+    ///   erased one on, the prefix staying shared; survivors' `sees`
+    ///   attributions are recomputed against the filtered image; and the
+    ///   erased machines not already in their initial state reset. DSM
+    ///   access costs depend only on the static cell placement, so survivor
+    ///   stats are reused verbatim.
     /// * **CC models** — re-execution of the schedule suffix from the latest
     ///   checkpoint at or before the splice point, since erasing a process
     ///   rewrites cache-validity history and every later charge must be
     ///   re-derived.
     ///
     /// In debug builds (or with the `exact-fingerprints` cargo feature) the
-    /// DSM surgery is cross-checked against the re-step path, and the
-    /// re-step path's fingerprint verdict against an exact projection
-    /// comparison.
+    /// DSM surgery is cross-checked against the re-step path — verdict,
+    /// history, schedule, totals and every cell's value, last writer,
+    /// writer set and reservations — and the re-step path's fingerprint
+    /// verdict against an exact projection comparison.
     pub fn erase_certified_in_place(&mut self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> bool {
         let _span = shm_obs::Span::enter("sim.erase");
         let n = self.n();
@@ -584,9 +610,13 @@ impl Simulator {
             .iter()
             .rev()
             .find(|c| c.schedule_len <= wsplice);
-        let (mut mem, start_events) = match wbase {
-            Some(c) => (c.memory.clone(), c.history_len),
-            None => (Memory::from_layout(&spec.layout), 0),
+        let seed;
+        let (base, start_events) = match wbase {
+            Some(c) => (&c.memory, c.history_len),
+            None => {
+                seed = Memory::from_layout(&spec.layout);
+                (&seed, 0)
+            }
         };
         // Certification walk: re-apply survivors' recorded accesses against
         // the filtered memory. Invoke/Return/Terminate events are machine-
@@ -594,87 +624,121 @@ impl Simulator {
         // unchanged — so only Access events are checked. A survivor may see
         // a different (surviving) last writer with an unchanged result, so
         // `sees` is recomputed here; `touches` (the static owner) and `wrote`
-        // (a function of op and result) cannot change.
+        // (a function of op and result) cannot change. Every access, erased
+        // or not, first rolls its cell back to `base`: a cell touched only
+        // by erased processes ends in its base state.
+        let mut rolled_back = vec![false; self.memory.len()];
+        let mut undo = CellUndo::default();
         let mut sees_fixes: Vec<(usize, Option<ProcId>)> = Vec::new();
+        let mut walked = 0u64;
+        let mut diverged = false;
         for (k, e) in self.history.events_from(start_events).enumerate() {
-            if let Event::Access {
+            walked += 1;
+            let Event::Access {
                 pid,
                 op,
                 result,
                 sees,
                 ..
             } = e
-            {
-                if gone[pid.index()] {
-                    continue;
-                }
-                let now_sees = sees_of(&mem, *pid, op);
-                if now_sees != *sees {
-                    sees_fixes.push((start_events + k, now_sees));
-                }
-                let applied = mem.apply(*pid, *op);
-                if applied.result != *result {
-                    #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-                    {
-                        // Suppress recording: the shadow re-step is a pure
-                        // cross-check, not part of the execution's cost.
-                        let _quiet = shm_obs::suppress();
-                        assert!(
-                            !shadow.erase_by_restep(spec, &gone),
-                            "event-walk refused an erasure the re-step path accepts"
-                        );
-                    }
-                    shm_obs::counter!("erase.refused");
-                    return false;
-                }
+            else {
+                continue;
+            };
+            let cell = op.addr().index();
+            if !rolled_back[cell] {
+                rolled_back[cell] = true;
+                self.memory.save_cell(cell, &mut undo);
+                self.memory.copy_cell_from(base, cell);
+            }
+            if gone[pid.index()] {
+                continue;
+            }
+            let now_sees = sees_of(&self.memory, *pid, op);
+            if now_sees != *sees {
+                sees_fixes.push((start_events + k, now_sees));
+            }
+            if self.memory.apply(*pid, *op).result != *result {
+                diverged = true;
+                break;
             }
         }
+        shm_obs::counter!("erase.walk_events", walked);
+        if diverged {
+            self.memory.restore_cells(&undo);
+            #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
+            {
+                // Suppress recording: the shadow re-step is a pure
+                // cross-check, not part of the execution's cost.
+                let _quiet = shm_obs::suppress();
+                assert!(
+                    !shadow.erase_by_restep(spec, &gone),
+                    "event-walk refused an erasure the re-step path accepts"
+                );
+            }
+            shm_obs::counter!("erase.refused");
+            return false;
+        }
 
-        // Accepted: apply the erasure by surgery.
-        mem.purge_reservations(&gone);
-        self.memory = mem;
+        // Accepted: apply the erasure by surgery. No event before the
+        // latest checkpoint preceding every erased step and injection is
+        // erased, unless an erased process crashed without a step.
+        let history_from = if batch
+            .iter()
+            .any(|p| self.procs[p.index()].status == Status::Crashed)
+        {
+            0
+        } else {
+            self.checkpoints
+                .iter()
+                .rev()
+                .find(|c| c.schedule_len <= splice && c.injections_len <= first_gone_inj)
+                .map_or(0, |c| c.history_len)
+        };
+        self.memory.purge_reservations(&gone);
         for &pid in batch {
-            let st = self.procs[pid.index()].stats;
+            let p = &mut self.procs[pid.index()];
+            // Previously erased processes are in the batch too, still in
+            // their initial state: nothing to subtract or reset.
+            if p.is_initial() {
+                continue;
+            }
+            let st = p.stats;
             self.totals.steps -= st.steps;
             self.totals.accesses -= st.accesses;
             self.totals.rmrs -= st.rmrs;
             self.totals.messages -= st.messages;
-            self.procs[pid.index()] = Arc::new(ProcState {
-                source: spec.sources[pid.index()].clone(),
-                current: None,
-                last_op_result: None,
-                last_return: None,
-                status: Status::Runnable,
-                stats: ProcStats::default(),
-            });
+            *p = Arc::new(ProcState::initial(spec.sources[pid.index()].clone()));
         }
-        // Filter the schedule, remembering how many erased steps precede
-        // each position so recorded indices can be shifted.
-        let old_sched = std::mem::take(&mut self.schedule);
-        let mut removed_before: Vec<u32> = Vec::with_capacity(old_sched.len() + 1);
-        let mut removed = 0u32;
-        let mut new_sched = Vec::with_capacity(old_sched.len());
-        for &pid in &old_sched {
-            removed_before.push(removed);
-            if gone[pid.index()] {
-                removed += 1;
-            } else {
-                new_sched.push(pid);
+        // Filter the schedule from the splice point on (no erased process
+        // steps before it), remembering how many erased steps precede each
+        // position so recorded indices can be shifted.
+        let len = self.schedule.len();
+        let mut removed_before: Vec<u32> = Vec::with_capacity(len - splice + 1);
+        let mut kept = splice;
+        for i in splice..len {
+            removed_before.push((i - kept) as u32);
+            let pid = self.schedule[i];
+            if !gone[pid.index()] {
+                self.schedule[kept] = pid;
+                kept += 1;
             }
         }
-        removed_before.push(removed);
-        self.schedule = new_sched;
-        for (i, &g) in gone.iter().enumerate().take(n) {
+        removed_before.push((len - kept) as u32);
+        self.schedule.truncate(kept);
+        let shift = |t: usize| {
+            if t < splice {
+                t
+            } else {
+                t - removed_before[t - splice] as usize
+            }
+        };
+        for (i, &g) in gone.iter().enumerate() {
             if g {
                 self.first_touch[i] = None;
                 self.first_write[i] = None;
             } else {
-                if let Some(t) = self.first_touch[i] {
-                    self.first_touch[i] = Some(t - removed_before[t] as usize);
-                }
-                if let Some(t) = self.first_write[i] {
-                    self.first_write[i] = Some(t - removed_before[t] as usize);
-                }
+                self.first_touch[i] = self.first_touch[i].map(shift);
+                self.first_write[i] = self.first_write[i].map(shift);
             }
         }
         let mut dropped_inj = 0u64;
@@ -683,12 +747,12 @@ impl Simulator {
                 dropped_inj += 1;
                 false
             } else {
-                inj.at -= removed_before[inj.at] as usize;
+                inj.at = shift(inj.at);
                 true
             }
         });
         self.injected -= dropped_inj;
-        self.history.erase_pids(&gone, &sees_fixes);
+        self.history.erase_pids(&gone, &sees_fixes, history_from);
         // Checkpoints past the splice captured erased-process state; drop
         // them (recording rebuilds coverage as stepping continues). The
         // retained ones precede every erased step and injection, so their
@@ -738,6 +802,17 @@ impl Simulator {
                     shadow.memory.last_writer(addr),
                     self.memory.last_writer(addr),
                     "surgery: last-writer mismatch at cell {a}"
+                );
+                assert!(
+                    shadow.memory.writers(addr).eq(self.memory.writers(addr)),
+                    "surgery: writer-set mismatch at cell {a}"
+                );
+                assert!(
+                    shadow
+                        .memory
+                        .reservations(addr)
+                        .eq(self.memory.reservations(addr)),
+                    "surgery: reservation mismatch at cell {a}"
                 );
             }
         }

@@ -2,11 +2,12 @@
 //! — the DSM event-walk surgery and the re-step path the CC models take —
 //! accepts exactly the erasures that leave every surviving projection
 //! unchanged. An accepted erasure reproduces exactly — event log, totals,
-//! per-process stats, memory, cost-model state — what a from-scratch
+//! per-process stats, memory (values, last writers, writer sets and LL
+//! reservations), cost-model state — what a from-scratch
 //! `Simulator::replay` of the filtered schedule produces, and audits clean;
 //! a refused one leaves the simulator as it was. Checked for every cost
 //! model and a spread of checkpoint intervals, with and without call
-//! injection and checkpoint thinning.
+//! injection and checkpoint thinning, and past 64 processes.
 
 use shm_sim::*;
 use std::collections::BTreeSet;
@@ -77,8 +78,9 @@ fn all_models() -> Vec<CostModel> {
 }
 
 /// Every observable of `got` equals `want`: events, totals, schedule,
-/// stats, fingerprints, projections, and the full machine state (memory
-/// values and last writers, statuses, pending calls, cost-model state).
+/// stats, fingerprints, projections, the full machine state (memory
+/// values and last writers, statuses, pending calls, cost-model state),
+/// and every cell's writer set and LL reservations.
 fn assert_same_execution(got: &Simulator, want: &Simulator, ctx: &str) {
     assert_eq!(
         got.history().to_vec(),
@@ -102,6 +104,20 @@ fn assert_same_execution(got: &Simulator, want: &Simulator, ctx: &str) {
         );
     }
     assert_eq!(got.state_words(), want.state_words(), "{ctx}: state");
+    let (g, w) = (got.memory(), want.memory());
+    for a in 0..w.len() {
+        let addr = Addr(a as u32);
+        assert_eq!(
+            g.writers(addr).collect::<Vec<_>>(),
+            w.writers(addr).collect::<Vec<_>>(),
+            "{ctx}: writer set of cell {a}"
+        );
+        assert_eq!(
+            g.reservations(addr).collect::<Vec<_>>(),
+            w.reservations(addr).collect::<Vec<_>>(),
+            "{ctx}: reservations of cell {a}"
+        );
+    }
 }
 
 /// Attempts to erase `batch` from a copy of `sim` and checks the outcome
@@ -156,6 +172,42 @@ fn erase_in_place_matches_reference_for_every_model_interval_and_victim() {
                     }
                 }
             }
+        }
+    }
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
+}
+
+/// More than 64 processes, so a cell's writer and reservation sets span
+/// several 64-bit words, stepped round-robin in pid order under DSM: the
+/// checkpoint at step 64 predates every pid past 63, so erasures certified
+/// from it start from a base image narrower than the live one. Every
+/// single-process erasure (and one batch) matches the reference, and both
+/// verdicts occur.
+#[test]
+fn erase_in_place_matches_reference_past_64_processes() {
+    let n = 130;
+    let spec = workload(n, 3, CostModel::Dsm);
+    let mut sim = Simulator::new(&spec);
+    sim.enable_checkpoints(64);
+    while !sim.all_done() {
+        for p in 0..n as u32 {
+            let _ = sim.step(ProcId(p));
+        }
+    }
+    let batches = (0..n as u32)
+        .map(|p| BTreeSet::from([ProcId(p)]))
+        .chain([BTreeSet::from([ProcId(9), ProcId(70), ProcId(129)])]);
+    let (mut accepted, mut refused) = (0, 0);
+    for batch in batches {
+        let reference = Simulator::replay(&spec, sim.schedule(), &batch);
+        let ctx = format!("n={n} erased={batch:?}");
+        if check_erasure(&spec, &sim, &batch, &reference, &ctx) {
+            accepted += 1;
+        } else {
+            refused += 1;
         }
     }
     assert!(
@@ -277,6 +329,56 @@ fn erase_in_place_recomputes_survivor_sees() {
         .sees_pairs()
         .contains(&(ProcId(2), ProcId(0))));
     assert!(check_erasure(&spec, &sim, &batch, &reference, "erased=p1"));
+}
+
+/// LL reservations survive erasure exactly. p1 takes an LL on `b`, a
+/// checkpoint passes, p2 writes its own cell, then p1's SC succeeds: erasing
+/// p2 certifies from that checkpoint, so the walk must roll `b` back with
+/// p1's reservation. p0 is stopped right after its own LL: erasing it must
+/// drop a reservation the walk never reaches. Erasing p1 changes what p0's
+/// LL returns and is refused.
+#[test]
+fn erase_in_place_keeps_ll_reservations_exact() {
+    let mut layout = MemLayout::new();
+    let b = layout.alloc_global(5);
+    let own = layout.alloc_per_process_array(3, 0);
+    let call = |ops: Vec<Op>| {
+        Box::new(Script::new(vec![ScriptedCall::new(
+            CallKind(0),
+            "ops",
+            Arc::new(move || Box::new(OpSequence::new(ops.clone())) as Box<dyn ProcedureCall>),
+        )])) as Box<dyn CallSource>
+    };
+    for model in all_models() {
+        let spec = SimSpec {
+            layout: layout.clone(),
+            sources: vec![
+                call(vec![Op::Ll(b), Op::Read(own.at(0)), Op::Sc(b, 1)]),
+                call(vec![Op::Ll(b), Op::Read(own.at(1)), Op::Sc(b, 7)]),
+                call(vec![Op::Write(own.at(2), 1)]),
+            ],
+            model,
+        };
+        let mut sim = Simulator::new(&spec);
+        sim.enable_checkpoints(1);
+        for p in [1, 2, 1, 1, 0] {
+            let _ = sim.step(ProcId(p));
+        }
+        assert_eq!(
+            sim.memory().reservations(b).collect::<Vec<_>>(),
+            [ProcId(0)]
+        );
+        for (victim, ok) in [(0u32, true), (1, false), (2, true)] {
+            let batch = BTreeSet::from([ProcId(victim)]);
+            let reference = Simulator::replay(&spec, sim.schedule(), &batch);
+            let ctx = format!("{model:?} erased=p{victim}");
+            assert_eq!(
+                check_erasure(&spec, &sim, &batch, &reference, &ctx),
+                ok,
+                "{ctx}"
+            );
+        }
+    }
 }
 
 /// `snapshot`/`restore` rolls the simulator back to a byte-identical state:
