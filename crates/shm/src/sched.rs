@@ -82,22 +82,35 @@ impl Scheduler for SeededRandom {
 /// `k`-step budget.
 ///
 /// Construction draws, from a seeded RNG:
-/// - a random permutation of `n` distinct base priorities (all above any
-///   change-point priority), and
+/// - a random permutation of `n` distinct base priorities `d … d+n−1`, and
 /// - `d − 1` random *priority-change points*: step indices in `[0, k)`.
 ///
 /// Every step schedules the highest-priority runnable process. When the
-/// step counter hits a change point, the process that would have been
-/// scheduled first has its priority dropped below every base priority
-/// (change point `i` assigns priority `d − 1 − i`, so later drops sink
-/// further), and the choice is re-evaluated.
+/// step counter hits the `i`-th change point (0-based, in sorted order),
+/// the process that would have been scheduled first has its priority
+/// dropped to `d − 2 − i`, below every base priority and below every earlier
+/// drop, and the choice is re-evaluated.
+///
+/// Priorities are positional: `order` lists the processes by descending
+/// priority (the base order, then dropped processes in drop order), and
+/// every process before the cursor `head` has already been found not
+/// runnable. A pick advances `head` past processes that are not runnable; a
+/// drop moves `order[head]` to the back. A pick is O(1) amortized.
+///
+/// Caller contract: between two calls to [`Scheduler::next`], no process
+/// that was not runnable becomes runnable again. Stepping the simulator
+/// never revives a process, so [`run`], or any loop that only steps the
+/// returned process, meets it; [`Simulator::inject_call`] on a terminated
+/// process breaks it. Debug builds check it on every call.
 ///
 /// Deterministic for a fixed `(seed, n, d, k)`, so a PCT run is replayable
 /// from its parameters alone.
 #[derive(Clone, Debug)]
 pub struct PctScheduler {
-    /// Priority per process; higher wins. Distinct by construction.
-    prio: Vec<u64>,
+    /// Every process, by descending priority.
+    order: Vec<ProcId>,
+    /// Index into `order`: every process before it is not runnable.
+    head: usize,
     /// Sorted step indices at which the next scheduled process is deprioritized.
     change_at: Vec<u64>,
     /// Change points already consumed.
@@ -116,46 +129,53 @@ impl PctScheduler {
     pub fn new(seed: u64, n: usize, d: usize, k: u64) -> Self {
         assert!(d > 0, "PCT depth must be at least 1");
         let mut rng = XorShift64::new(seed);
-        // Base priorities d-1+1 .. d-1+n (all above any change-point
-        // priority d-1-i), assigned by a Fisher-Yates shuffle.
-        let mut prio: Vec<u64> = (0..n as u64).map(|i| d as u64 + i).collect();
+        // Base priorities d .. d+n-1 (all above every drop priority d-2-i),
+        // dealt by a Fisher-Yates shuffle that starts with process p at d+p.
+        // Each is kept as its process's position in `order`: priority
+        // d+n-1-j sits at position j, so process p starts at n-1-p.
+        let mut at: Vec<usize> = (0..n).rev().collect();
         for i in (1..n).rev() {
             let j = rng.below(i as u64 + 1) as usize;
-            prio.swap(i, j);
+            at.swap(i, j);
+        }
+        let mut order = vec![ProcId(0); n];
+        for (p, &j) in at.iter().enumerate() {
+            order[j] = ProcId(p as u32);
         }
         let mut change_at: Vec<u64> = (0..d - 1).map(|_| rng.below(k.max(1))).collect();
         change_at.sort_unstable();
         PctScheduler {
-            prio,
+            order,
+            head: 0,
             change_at,
             next_change: 0,
             steps: 0,
         }
     }
-
-    /// The highest-priority runnable process, if any.
-    fn best(&self, sim: &Simulator) -> Option<ProcId> {
-        (0..self.prio.len())
-            .map(|i| ProcId(i as u32))
-            .filter(|&p| sim.is_runnable(p))
-            .max_by_key(|p| self.prio[p.index()])
-    }
 }
 
 impl Scheduler for PctScheduler {
     fn next(&mut self, sim: &Simulator) -> Option<ProcId> {
-        let mut pid = self.best(sim)?;
-        // Consume every change point due at this step: deprioritize the
-        // process that would run and re-select.
-        while self.next_change < self.change_at.len()
-            && self.steps >= self.change_at[self.next_change]
-        {
-            self.prio[pid.index()] = (self.change_at.len() - self.next_change) as u64 - 1;
-            self.next_change += 1;
-            pid = self.best(sim)?;
+        debug_assert!(
+            self.order[..self.head].iter().all(|&p| !sim.is_runnable(p)),
+            "PctScheduler: a process behind the cursor is runnable again"
+        );
+        loop {
+            while !sim.is_runnable(*self.order.get(self.head)?) {
+                self.head += 1;
+            }
+            // Consume every change point due at this step: the process that
+            // would run drops below everyone, and the choice is re-made.
+            if self.next_change < self.change_at.len()
+                && self.steps >= self.change_at[self.next_change]
+            {
+                self.order[self.head..].rotate_left(1);
+                self.next_change += 1;
+            } else {
+                self.steps += 1;
+                return Some(self.order[self.head]);
+            }
         }
-        self.steps += 1;
-        Some(pid)
     }
 }
 
@@ -241,7 +261,7 @@ pub fn run_to_completion(sim: &mut Simulator, sched: &mut dyn Scheduler, max_ste
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{CallKind, OpSequence};
+    use crate::machine::{Call, CallKind, OpSequence};
     use crate::mem::MemLayout;
     use crate::model::CostModel;
     use crate::op::Op;
@@ -334,13 +354,158 @@ mod tests {
     #[test]
     fn pct_priorities_are_distinct_and_drops_sink() {
         let sched = PctScheduler::new(99, 8, 4, 500);
-        let mut seen = sched.prio.clone();
+        let mut seen = sched.order.clone();
         seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 8, "base priorities are distinct");
-        assert!(sched.prio.iter().all(|&p| p >= 4), "bases above drop range");
+        assert_eq!(
+            seen,
+            (0..8).map(ProcId).collect::<Vec<_>>(),
+            "order is a permutation of the processes"
+        );
         assert_eq!(sched.change_at.len(), 3, "d-1 change points");
         assert!(sched.change_at.windows(2).all(|w| w[0] <= w[1]), "sorted");
+
+        // k = 1 puts all three change points at step 0: the first pick drops
+        // the three highest base priorities, each below the one before.
+        let spec = spec_with_counter_writers(8);
+        let sim = crate::sim::Simulator::new(&spec);
+        let mut sched = PctScheduler::new(99, 8, 4, 1);
+        let base = sched.order.clone();
+        assert_eq!(sched.next(&sim), Some(base[3]));
+        let sunk: Vec<ProcId> = base[3..].iter().chain(&base[..3]).copied().collect();
+        assert_eq!(sched.order, sunk);
+    }
+
+    /// The PCT scheduler before the cursor, kept verbatim as the reference:
+    /// explicit priorities and an O(n) max over the runnable processes.
+    struct ScanPct {
+        prio: Vec<u64>,
+        change_at: Vec<u64>,
+        next_change: usize,
+        steps: u64,
+    }
+
+    impl ScanPct {
+        fn new(seed: u64, n: usize, d: usize, k: u64) -> Self {
+            assert!(d > 0, "PCT depth must be at least 1");
+            let mut rng = XorShift64::new(seed);
+            let mut prio: Vec<u64> = (0..n as u64).map(|i| d as u64 + i).collect();
+            for i in (1..n).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                prio.swap(i, j);
+            }
+            let mut change_at: Vec<u64> = (0..d - 1).map(|_| rng.below(k.max(1))).collect();
+            change_at.sort_unstable();
+            ScanPct {
+                prio,
+                change_at,
+                next_change: 0,
+                steps: 0,
+            }
+        }
+
+        fn best(&self, sim: &Simulator) -> Option<ProcId> {
+            (0..self.prio.len())
+                .map(|i| ProcId(i as u32))
+                .filter(|&p| sim.is_runnable(p))
+                .max_by_key(|p| self.prio[p.index()])
+        }
+    }
+
+    impl Scheduler for ScanPct {
+        fn next(&mut self, sim: &Simulator) -> Option<ProcId> {
+            let mut pid = self.best(sim)?;
+            while self.next_change < self.change_at.len()
+                && self.steps >= self.change_at[self.next_change]
+            {
+                self.prio[pid.index()] = (self.change_at.len() - self.next_change) as u64 - 1;
+                self.next_change += 1;
+                pid = self.best(sim)?;
+            }
+            self.steps += 1;
+            Some(pid)
+        }
+    }
+
+    /// `n` processes that each make 1 to 3 calls of 1 to 4 operations on a
+    /// shared counter and a cell of their own, the counts drawn from `rng`,
+    /// so that processes terminate at different steps.
+    fn spec_with_ragged_calls(n: usize, rng: &mut XorShift64) -> SimSpec {
+        let mut layout = MemLayout::new();
+        let c = layout.alloc_global(0);
+        let sources = (0..n)
+            .map(|_| {
+                let own = layout.alloc_global(0);
+                let calls = (0..rng.range_usize(1, 4))
+                    .map(|_| {
+                        let ops: Vec<Op> = (0..rng.range_usize(1, 5))
+                            .map(|i| {
+                                if i % 2 == 0 {
+                                    Op::Faa(c, 1)
+                                } else {
+                                    Op::Write(own, 1)
+                                }
+                            })
+                            .collect();
+                        ScriptedCall::new(
+                            CallKind(0),
+                            "ragged",
+                            Arc::new(move || Box::new(OpSequence::new(ops.clone()))),
+                        )
+                    })
+                    .collect();
+                Box::new(Script::new(calls)) as Box<dyn crate::source::CallSource>
+            })
+            .collect();
+        SimSpec {
+            layout,
+            sources,
+            model: CostModel::Dsm,
+        }
+    }
+
+    #[test]
+    fn pct_cursor_matches_priority_scan() {
+        // k = 1 puts every change point at step 0; n = 1 with d >= 3 drops
+        // the same process more than once.
+        const BUDGETS: [u64; 6] = [1, 2, 3, 10, 50, 20_000];
+        // Debug builds also run the O(n) contract check on every pick.
+        let cases = if cfg!(debug_assertions) { 500 } else { 3000 };
+        let mut rng = XorShift64::new(0x5C4_7C75);
+        for case in 0..cases {
+            let n = rng.range_usize(1, 131);
+            let d = rng.range_usize(1, 6);
+            let k = *rng.choose(&BUDGETS);
+            let seed = rng.next_u64();
+            let spec = spec_with_ragged_calls(n, &mut rng);
+            let drive = |sched: &mut dyn Scheduler| {
+                let mut sim = crate::sim::Simulator::new(&spec);
+                assert!(
+                    run_to_completion(&mut sim, sched, u64::MAX),
+                    "case {case}: n = {n}, d = {d}, k = {k} did not complete"
+                );
+                sim.schedule().to_vec()
+            };
+            assert_eq!(
+                drive(&mut PctScheduler::new(seed, n, d, k)),
+                drive(&mut ScanPct::new(seed, n, d, k)),
+                "case {case}: n = {n}, d = {d}, k = {k}, seed = {seed:#x}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "behind the cursor")]
+    fn pct_debug_check_catches_a_revived_process() {
+        // Outside the caller contract: after a full run the cursor has
+        // passed every process, and an injected call revives one of them.
+        let spec = spec_with_counter_writers(2);
+        let mut sim = crate::sim::Simulator::new(&spec);
+        let mut sched = PctScheduler::new(1, 2, 1, 100);
+        assert!(run_to_completion(&mut sim, &mut sched, 100));
+        let op = OpSequence::new(vec![Op::Faa(crate::ids::Addr(0), 1)]);
+        sim.inject_call(ProcId(0), Call::new(CallKind(0), "inc", Box::new(op)));
+        let _ = sched.next(&sim);
     }
 
     #[test]
