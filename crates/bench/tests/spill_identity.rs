@@ -7,11 +7,19 @@
 //! from the identical traversal, whether the visited set and frontier live
 //! in RAM or in delta-compressed runs on disk.
 //!
+//! The budgeted rows themselves, memory-trajectory fields included, are
+//! pinned to `tests/golden/e9_budget_8k.json` at both thread counts, so a
+//! change to the spill encoding, flush points or merge schedule shows up as
+//! a moved `spilled_bytes` or `peak_visited_bytes`. Regenerate after a
+//! deliberate change with
+//! `BLESS_GOLDEN=1 cargo test -p bench --test spill_identity`.
+//!
 //! `shm_pool::set_threads` is process-global, so the tests serialize on a
 //! shared lock (same pattern as the determinism suite).
 
 use bench::{e9_explore_with, E9Row};
 use shm_scenario::canon;
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -39,6 +47,23 @@ fn normalize(mut rows: Vec<E9Row>) -> Vec<E9Row> {
     rows
 }
 
+/// Compares the un-normalized canon of the budgeted sweep against the
+/// committed fixture, or rewrites the fixture when `BLESS_GOLDEN` is set.
+fn check_budgeted_fixture(threads: usize, budgeted: &[E9Row]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/e9_budget_8k.json");
+    let actual = canon::e9_json(budgeted);
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {} (BLESS_GOLDEN=1 to create): {e}", path.display()));
+    assert_eq!(
+        expected, actual,
+        "threads={threads}: the budgeted memory trajectory drifted from the committed fixture"
+    );
+}
+
 fn identity_at(threads: usize) {
     let unbudgeted = at_threads(threads, || e9_explore_with(2, 1, None));
     let budgeted = at_threads(threads, || e9_explore_with(2, 1, Some(TINY_BUDGET)));
@@ -58,6 +83,7 @@ fn identity_at(threads: usize) {
         single_waiter_dsm.spilled_bytes > 0,
         "the largest row must have spilled"
     );
+    check_budgeted_fixture(threads, &budgeted);
     assert_eq!(
         canon::e9_json(&normalize(unbudgeted)),
         canon::e9_json(&normalize(budgeted)),
