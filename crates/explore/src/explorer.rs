@@ -5,7 +5,7 @@
 use crate::bounds::Bounds;
 use crate::counterexample::replay;
 use crate::oracle::{Objective, Oracle};
-use crate::spill::{self, Key};
+use crate::spill::{self, Corrupt, Key};
 use crate::store::{
     frontier_hot_cap, CarryBase, CarryBuilder, Lookup, Popped, SpillQueue, VisitedStore,
 };
@@ -666,25 +666,44 @@ fn pack_node(node: &Node, out: &mut Vec<u8>) {
     }
 }
 
+/// Inverse of [`pack_node`]: the sleep set, preemption count and schedule
+/// of a packed entry, or [`Corrupt`] when the entry is truncated, a word
+/// is out of range, or bytes are left over.
+fn unpack_node(buf: &[u8]) -> Result<(u64, u32, Vec<ProcId>), Corrupt> {
+    let mut pos = 0usize;
+    let sleep = spill::read_varint(buf, &mut pos)?;
+    let word32 =
+        |pos: &mut usize| u32::try_from(spill::read_varint(buf, pos)?).map_err(|_| Corrupt);
+    let preempts = word32(&mut pos)?;
+    let len = spill::read_varint(buf, &mut pos)?;
+    // Every pid takes at least one byte: bound the length before
+    // allocating for it.
+    if len > (buf.len() - pos) as u64 {
+        return Err(Corrupt);
+    }
+    let mut schedule = Vec::with_capacity(len as usize);
+    for _ in 0..len {
+        schedule.push(ProcId(word32(&mut pos)?));
+    }
+    if pos != buf.len() {
+        return Err(Corrupt);
+    }
+    Ok((sleep, preempts, schedule))
+}
+
 /// Re-materializes a popped frontier entry; packed nodes replay their
 /// schedule from the root, which is deterministic, so a node that took the
 /// disk detour expands exactly as a resident one would.
-fn materialize(spec: &SimSpec, popped: Popped<Node>) -> Node {
+fn materialize(spec: &SimSpec, popped: Popped<Node>) -> Result<Node, Corrupt> {
     match popped {
-        Popped::Live(node) => node,
+        Popped::Live(node) => Ok(node),
         Popped::Packed(buf) => {
-            let mut pos = 0usize;
-            let sleep = spill::read_varint(&buf, &mut pos);
-            let preempts = spill::read_varint(&buf, &mut pos) as u32;
-            let len = spill::read_varint(&buf, &mut pos) as usize;
-            let schedule: Vec<ProcId> = (0..len)
-                .map(|_| ProcId(spill::read_varint(&buf, &mut pos) as u32))
-                .collect();
-            Node {
+            let (sleep, preempts, schedule) = unpack_node(&buf)?;
+            Ok(Node {
                 sim: replay(spec, &schedule),
                 sleep,
                 preempts,
-            }
+            })
         }
     }
 }
@@ -723,7 +742,7 @@ pub(crate) fn explore_carry(
         let Some(popped) = queue.pop() else {
             break;
         };
-        let mut node = materialize(spec, popped);
+        let mut node = materialize(spec, popped).expect("frontier spill entry decodes");
         let classes = full_classes(&node.sim);
         let Some((ckpt, children, at)) =
             phase1.expand(&mut node.sim, node.sleep, node.preempts, &classes)
@@ -771,7 +790,7 @@ pub(crate) fn explore_carry(
                 mut sim,
                 sleep,
                 preempts,
-            } = materialize(spec, popped);
+            } = materialize(spec, popped).expect("frontier spill entry decodes");
             let classes = full_classes(&sim);
             w.dfs(&mut sim, sleep, preempts, classes);
             w.into_parts()
@@ -912,5 +931,37 @@ mod tests {
         // scheduled: 3! = 6 complete orders.
         assert_eq!(rep.terminals, 6, "{rep:?}");
         assert!(!rep.exhaustive);
+    }
+
+    #[test]
+    fn packed_frontier_entries_unpack_or_report_corruption() {
+        let spec = disjoint_writers(3);
+        let schedule = [ProcId(2), ProcId(0), ProcId(1)];
+        let node = Node {
+            sim: replay(&spec, &schedule),
+            sleep: 0b101,
+            preempts: 300,
+        };
+        let mut buf = Vec::new();
+        pack_node(&node, &mut buf);
+        assert_eq!(unpack_node(&buf), Ok((0b101, 300, schedule.to_vec())));
+        for cut in 0..buf.len() {
+            assert_eq!(unpack_node(&buf[..cut]), Err(Corrupt), "cut at {cut}");
+        }
+        let mut x = 0xF0_u64;
+        for _ in 0..500 {
+            x = shm_sim::rng::mix64(x);
+            let mut bad = buf.clone();
+            bad[x as usize % buf.len()] ^= (x >> 32) as u8 | 1;
+            let _ = unpack_node(&bad);
+        }
+        // A length past the bytes left, a pid past u32, trailing bytes.
+        for bad in [
+            vec![0, 0, 9, 1],
+            vec![0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x7f],
+            [&buf[..], &[0]].concat(),
+        ] {
+            assert_eq!(unpack_node(&bad), Err(Corrupt), "{bad:?}");
+        }
     }
 }

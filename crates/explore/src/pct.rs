@@ -156,7 +156,7 @@ impl RandomReport {
 
 /// The result of [`check_random`]: sampling statistics plus the same
 /// contract classification and shrunk, audited counterexample that
-/// [`crate::check`] produces.
+/// [`crate::check()`] produces.
 pub struct RandomOutcome {
     /// Sampling statistics and retained findings.
     pub report: RandomReport,
@@ -230,7 +230,7 @@ fn run_schedule(spec: &SimSpec, n: usize, bounds: &RandomBounds, i: u64) -> (Sim
 /// each end state with the Specification 4.1 polling oracle (under the
 /// algorithm's `max_concurrent_waiters` contract) and maximizing the
 /// signaler's RMRs over terminal schedules — the randomized counterpart of
-/// [`crate::check`]. Deterministic at any thread count: seeds derive from
+/// [`crate::check()`]. Deterministic at any thread count: seeds derive from
 /// submission indices and results merge in submission order.
 #[must_use]
 pub fn check_random(scenario: &ScenarioSpec<'_>, bounds: &RandomBounds) -> RandomOutcome {

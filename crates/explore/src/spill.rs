@@ -13,18 +13,27 @@
 //!
 //! Probing is a three-stage funnel:
 //!
-//! 1. a [`Prefilter`] (two-probe Bloom-style bitset over the fingerprint)
+//! 1. a [`Prefilter`] (three-probe Bloom-style bitset over the whole key)
 //!    rejects most absent keys without touching the fences or the backing
-//!    bytes at all;
+//!    bytes at all — including keys that share a stored key's fingerprint
+//!    under another sleep set, bound word or context;
 //! 2. in-memory *fence pointers* ([`Fence`]: first key + byte extent per
 //!    block) binary-search to the single candidate block;
-//! 3. the block is decoded (from an in-memory slice or one file read) and
-//!    scanned with early exit on the sorted order.
+//! 3. the block is decoded (from an in-memory slice or one positioned file
+//!    read) and scanned with early exit on the sorted order. The 128-bit
+//!    fingerprint varints decode a word at a time: three 8-byte
+//!    little-endian loads, with the 7-bit groups packed by mask and shift.
 //!
 //! The encoding is exact — membership answers have no false positives or
 //! negatives — so the visited-set *semantics* are identical with or without
 //! spilling; only the byte location of the keys changes. That is the whole
 //! determinism argument: tiering moves keys, never answers.
+//!
+//! Every decoder is total: a buffer that ends inside a varint, a varint
+//! longer than its type, or a fingerprint delta that overflows is reported
+//! as [`Corrupt`], never an out-of-bounds index or a panic.
+
+use std::fmt;
 
 /// A dedup key: the 128-bit state fingerprint followed by the sleep set,
 /// the preemption-bound word, and the oracle order-witness context (see
@@ -37,6 +46,27 @@ pub const KEY_BYTES: usize = 40;
 
 /// Keys per encoded block. Each block decodes independently from its fence.
 pub const KEYS_PER_BLOCK: usize = 256;
+
+/// Spill bytes that do not decode: the buffer ends inside a varint, a
+/// varint is longer than its type (10 bytes for `u64`, 19 for `u128`) or
+/// sets bits past its width, a fingerprint delta overflows, or a block's
+/// keys do not fill its extent exactly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Corrupt;
+
+impl fmt::Display for Corrupt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("corrupt spill data: truncated buffer or malformed varint")
+    }
+}
+
+impl std::error::Error for Corrupt {}
+
+impl From<Corrupt> for std::io::Error {
+    fn from(e: Corrupt) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -54,32 +84,99 @@ fn push_varint128(out: &mut Vec<u8>, mut v: u128) {
     out.push(v as u8);
 }
 
-pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
+/// Byte-at-a-time LEB128 decode of a value of `width` bits (64 or 128):
+/// every index is checked, and a varint with more than `ceil(width / 7)`
+/// bytes or with bits at or past `width` is [`Corrupt`].
+fn read_varint_bytes(buf: &[u8], pos: &mut usize, width: u32) -> Result<u128, Corrupt> {
+    let rest = buf.get(*pos..).unwrap_or_default();
+    let mut v = 0u128;
+    for (i, &b) in rest.iter().take(width.div_ceil(7) as usize).enumerate() {
+        let shift = 7 * i as u32;
+        let bits = u128::from(b & 0x7f);
+        // Only the last byte can hold bits past the width.
+        if bits >> (width - shift).min(7) != 0 {
+            return Err(Corrupt);
         }
-        shift += 7;
+        v |= bits << shift;
+        if b < 0x80 {
+            *pos += i + 1;
+            return Ok(v);
+        }
     }
+    Err(Corrupt)
 }
 
-fn read_varint128(buf: &[u8], pos: &mut usize) -> u128 {
-    let mut v = 0u128;
-    let mut shift = 0u32;
-    loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= u128::from(b & 0x7f) << shift;
+pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, Corrupt> {
+    // The tail words of a key are almost always one-byte XOR deltas.
+    if let Some(&b) = buf.get(*pos) {
         if b < 0x80 {
-            return v;
+            *pos += 1;
+            return Ok(u64::from(b));
         }
-        shift += 7;
     }
+    read_varint_bytes(buf, pos, 64).map(|v| v as u64)
+}
+
+/// The continuation bit of every byte of a little-endian word.
+const CONT: u64 = 0x8080_8080_8080_8080;
+
+/// Packs the 7-bit groups of up to eight varint bytes, loaded as one
+/// little-endian word with the continuation bits cleared, into the low 56
+/// bits: byte `i`'s group lands at bit `7 * i`.
+#[inline(always)]
+fn pack7(x: u64) -> u64 {
+    let x = (x & 0x007f_007f_007f_007f) | (x & 0x7f00_7f00_7f00_7f00) >> 1;
+    let x = (x & 0x0000_3fff_0000_3fff) | (x & 0x3fff_0000_3fff_0000) >> 2;
+    (x & 0x0000_0000_0fff_ffff) | (x & 0x0fff_ffff_0000_0000) >> 4
+}
+
+/// The bytes of `w` up to and including its first terminator byte, with
+/// the continuation bits cleared; `stop` is `!w & CONT` (non-zero).
+#[inline(always)]
+fn groups_to_stop(w: u64, stop: u64) -> u64 {
+    w & (stop ^ (stop - 1)) & !CONT
+}
+
+/// Decodes one 128-bit varint. With 24 bytes left in `buf` this takes
+/// three 8-byte loads and finds the terminator with a mask per word; the
+/// last 24 bytes of a buffer go through the checked byte loop. Both paths
+/// accept and reject exactly the same inputs.
+fn read_varint128(buf: &[u8], pos: &mut usize) -> Result<u128, Corrupt> {
+    let p = *pos;
+    let Some(bytes) = buf.get(p..).and_then(<[u8]>::first_chunk::<24>) else {
+        return read_varint_bytes(buf, pos, 128);
+    };
+    let word = |i: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&bytes[8 * i..8 * i + 8]);
+        u64::from_le_bytes(w)
+    };
+    let w0 = word(0);
+    let stop = !w0 & CONT;
+    if stop != 0 {
+        *pos = p + (stop.trailing_zeros() / 8 + 1) as usize;
+        return Ok(u128::from(pack7(groups_to_stop(w0, stop))));
+    }
+    let lo = u128::from(pack7(w0 & !CONT));
+    let w1 = word(1);
+    let stop = !w1 & CONT;
+    if stop != 0 {
+        *pos = p + 8 + (stop.trailing_zeros() / 8 + 1) as usize;
+        return Ok(lo | u128::from(pack7(groups_to_stop(w1, stop))) << 56);
+    }
+    // A u128 takes at most 19 bytes, so the terminator must be among the
+    // third word's first three bytes, which may carry 16 bits at most.
+    let w2 = word(2);
+    let stop = !w2 & 0x0080_8080;
+    if stop == 0 {
+        return Err(Corrupt);
+    }
+    let hi = pack7(groups_to_stop(w2, stop));
+    if hi >> 16 != 0 {
+        return Err(Corrupt);
+    }
+    *pos = p + 16 + (stop.trailing_zeros() / 8 + 1) as usize;
+    Ok(lo | u128::from(pack7(w1 & !CONT)) << 56 | u128::from(hi) << 112)
 }
 
 /// In-memory index entry for one encoded block: its first key (absolute)
@@ -205,57 +302,60 @@ impl RunEncoder {
     }
 }
 
-/// Decodes the block starting at `block` (its fence said it holds `count`
-/// keys) and appends the keys to `out`.
-pub fn decode_block_into(block: &[u8], count: u32, out: &mut Vec<Key>) {
+/// Decodes the next key of a block. A block's first key is stored in
+/// absolute form, which is its delta from the all-zero key.
+#[inline(always)]
+fn next_key(block: &[u8], pos: &mut usize, prev: &Key) -> Result<Key, Corrupt> {
+    Ok((
+        prev.0
+            .checked_add(read_varint128(block, pos)?)
+            .ok_or(Corrupt)?,
+        prev.1 ^ read_varint(block, pos)?,
+        prev.2 ^ read_varint(block, pos)?,
+        prev.3 ^ read_varint(block, pos)?,
+    ))
+}
+
+/// Decodes the block `block` (its fence said it holds `count` keys) and
+/// appends the keys to `out`. On [`Corrupt`] the keys decoded before the
+/// damage stay appended.
+pub fn try_decode_block_into(block: &[u8], count: u32, out: &mut Vec<Key>) -> Result<(), Corrupt> {
     let mut pos = 0usize;
-    let mut prev: Key = (
-        read_varint128(block, &mut pos),
-        read_varint(block, &mut pos),
-        read_varint(block, &mut pos),
-        read_varint(block, &mut pos),
-    );
-    out.push(prev);
-    for _ in 1..count {
-        prev = (
-            prev.0 + read_varint128(block, &mut pos),
-            prev.1 ^ read_varint(block, &mut pos),
-            prev.2 ^ read_varint(block, &mut pos),
-            prev.3 ^ read_varint(block, &mut pos),
-        );
+    let mut prev: Key = (0, 0, 0, 0);
+    for _ in 0..count {
+        prev = next_key(block, &mut pos, &prev)?;
         out.push(prev);
+    }
+    if pos == block.len() {
+        Ok(())
+    } else {
+        Err(Corrupt)
     }
 }
 
+/// [`try_decode_block_into`] for a block this process encoded and still
+/// holds in memory.
+///
+/// # Panics
+///
+/// If the block is [`Corrupt`]; bytes read back from a file go through
+/// [`try_decode_block_into`].
+pub fn decode_block_into(block: &[u8], count: u32, out: &mut Vec<Key>) {
+    try_decode_block_into(block, count, out).expect("an in-memory block decodes");
+}
+
 /// Whether `key` occurs in the encoded block. Scans in sorted order with
-/// early exit (fingerprints are non-decreasing within a block).
-#[must_use]
-pub fn block_contains(block: &[u8], count: u32, key: &Key) -> bool {
+/// early exit (keys ascend strictly within a block).
+pub fn block_contains(block: &[u8], count: u32, key: &Key) -> Result<bool, Corrupt> {
     let mut pos = 0usize;
-    let mut prev: Key = (
-        read_varint128(block, &mut pos),
-        read_varint(block, &mut pos),
-        read_varint(block, &mut pos),
-        read_varint(block, &mut pos),
-    );
-    if prev == *key {
-        return true;
-    }
-    for _ in 1..count {
-        prev = (
-            prev.0 + read_varint128(block, &mut pos),
-            prev.1 ^ read_varint(block, &mut pos),
-            prev.2 ^ read_varint(block, &mut pos),
-            prev.3 ^ read_varint(block, &mut pos),
-        );
-        if prev == *key {
-            return true;
-        }
-        if prev > *key {
-            return false;
+    let mut prev: Key = (0, 0, 0, 0);
+    for _ in 0..count {
+        prev = next_key(block, &mut pos, &prev)?;
+        if prev >= *key {
+            return Ok(prev == *key);
         }
     }
-    false
+    Ok(false)
 }
 
 /// Index of the fence whose block could contain `key` (the last fence with
@@ -268,50 +368,63 @@ pub fn fence_for(fences: &[Fence], key: &Key) -> Option<usize> {
 
 // ------------------------------------------------------------ prefilter ----
 
-/// Two-probe Bloom-style membership prefilter over the fingerprint lead of
-/// the key. No false negatives: a clear probe proves absence, so most
-/// absent-key lookups never touch the fences or the backing bytes. False
-/// positives only cost a (still exact) block probe.
+/// Three-probe Bloom-style membership prefilter over the whole key. No
+/// false negatives: a clear probe proves absence, so most absent-key
+/// lookups never touch the fences or the backing bytes. False positives
+/// only cost a (still exact) block probe. Hashing all five words, not just
+/// the fingerprint, is what rejects the keys DPOR makes most often: one
+/// state reached under another sleep set, bound word or context.
 #[derive(Clone, Debug)]
 pub struct Prefilter {
     bits: Vec<u64>,
-    mask: u64,
+    /// `64 - log2(bit count)`: a probe is the top bits of a 64-bit mix.
+    shift: u32,
 }
 
 impl Prefilter {
-    /// A filter sized for about `n` keys (~8 bits per key, rounded up to a
-    /// power of two, at least 512 bits).
+    /// A filter sized for about `n` keys: `8 n` bits rounded up to a power
+    /// of two (so 8–16 bits per key), at least 512 bits.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         let bits = (n.max(64) * 8).next_power_of_two();
         Prefilter {
             bits: vec![0u64; bits / 64],
-            mask: (bits - 1) as u64,
+            shift: 64 - bits.trailing_zeros(),
         }
     }
 
-    fn probes(&self, fp: u128) -> (u64, u64) {
-        // Two independent multiplicative mixes of the two fingerprint
-        // halves; the fingerprint is already a polynomial hash, so this is
-        // cheap insurance, not real hashing.
-        let lo = (fp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let hi = ((fp >> 64) as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        ((lo >> 7) & self.mask, (hi >> 9) & self.mask)
+    fn probes(&self, key: &Key) -> [usize; 3] {
+        // Fold the five words into one: the fingerprint halves are already
+        // hash output, the tail words are small integers that the
+        // multiply spreads. The three probes are the top bits of three
+        // independent multiplicative mixes of the fold.
+        let mut h = 0u64;
+        for w in [key.0 as u64, (key.0 >> 64) as u64, key.1, key.2, key.3] {
+            h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 32;
+        }
+        [
+            0xC2B2_AE3D_27D4_EB4F_u64,
+            0x1656_67B1_9E37_79F9,
+            0xFF51_AFD7_ED55_8CCD,
+        ]
+        .map(|m| (h.wrapping_mul(m) >> self.shift) as usize)
     }
 
-    /// Marks `fp` present.
-    pub fn insert(&mut self, fp: u128) {
-        let (a, b) = self.probes(fp);
-        self.bits[(a / 64) as usize] |= 1 << (a % 64);
-        self.bits[(b / 64) as usize] |= 1 << (b % 64);
+    /// Marks `key` present.
+    pub fn insert(&mut self, key: &Key) {
+        for b in self.probes(key) {
+            self.bits[b / 64] |= 1 << (b % 64);
+        }
     }
 
-    /// `false` proves `fp` was never inserted; `true` means "probe the run".
+    /// `false` proves `key` was never inserted; `true` means "probe the
+    /// run".
     #[must_use]
-    pub fn maybe_contains(&self, fp: u128) -> bool {
-        let (a, b) = self.probes(fp);
-        self.bits[(a / 64) as usize] >> (a % 64) & 1 == 1
-            && self.bits[(b / 64) as usize] >> (b % 64) & 1 == 1
+    pub fn maybe_contains(&self, key: &Key) -> bool {
+        self.probes(key)
+            .iter()
+            .all(|&b| self.bits[b / 64] >> (b % 64) & 1 == 1)
     }
 
     /// Resident size of the bit array in bytes.
@@ -325,7 +438,7 @@ impl Prefilter {
 
 /// An immutable, delta-compressed sorted key set held in memory: the same
 /// block encoding as a disk run, fronted by the same fences and prefilter.
-/// Used as the shared cross-bound *base* tier of [`crate::store::CarryStore`]
+/// Used as the shared cross-bound *base* tier of [`crate::store::CarryBase`]
 /// (many workers probe one `Arc`'d set concurrently).
 pub struct CompressedKeySet {
     bytes: Vec<u8>,
@@ -342,7 +455,7 @@ impl CompressedKeySet {
         let mut filter = Prefilter::with_capacity(keys.len());
         for &k in keys {
             enc.push(k);
-            filter.insert(k.0);
+            filter.insert(&k);
         }
         let (bytes, fences, count, total) = enc.finish();
         debug_assert_eq!(bytes.len() as u64, total, "nothing drained");
@@ -369,7 +482,7 @@ impl CompressedKeySet {
     /// Exact membership.
     #[must_use]
     pub fn contains(&self, key: &Key) -> bool {
-        if !self.filter.maybe_contains(key.0) {
+        if !self.filter.maybe_contains(key) {
             return false;
         }
         let Some(fi) = fence_for(&self.fences, key) else {
@@ -378,6 +491,7 @@ impl CompressedKeySet {
         let f = &self.fences[fi];
         let start = f.offset as usize;
         block_contains(&self.bytes[start..start + f.len as usize], f.count, key)
+            .expect("an in-memory block decodes")
     }
 
     /// Decodes every key, in ascending order, into `out`.
@@ -421,14 +535,14 @@ mod tests {
             buf.clear();
             push_varint(&mut buf, v);
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
+            assert_eq!(read_varint(&buf, &mut pos), Ok(v));
             assert_eq!(pos, buf.len());
         }
         for v in [0u128, 127, 128, u128::from(u64::MAX) + 1, u128::MAX] {
             buf.clear();
             push_varint128(&mut buf, v);
             let mut pos = 0;
-            assert_eq!(read_varint128(&buf, &mut pos), v);
+            assert_eq!(read_varint128(&buf, &mut pos), Ok(v));
             assert_eq!(pos, buf.len());
         }
     }
@@ -460,6 +574,202 @@ mod tests {
             }
         }
         assert!(!set.contains(&(0, 0, 0, 0)), "before-the-run probe");
+    }
+
+    /// A splitmix64 stream.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(1);
+            shm_sim::rng::mix64(x)
+        }
+    }
+
+    /// Byte-wise reference for `read_varint128`: one group at a time, every
+    /// index checked, and any group bit shifted past 128 rejected.
+    fn reference_varint128(buf: &[u8], pos: usize) -> Option<(u128, usize)> {
+        let mut v = 0u128;
+        for i in 0..19 {
+            let b = *buf.get(pos + i)?;
+            let group = u128::from(b & 0x7f);
+            let shift = 7 * i as u32;
+            if (group << shift) >> shift != group {
+                return None;
+            }
+            v |= group << shift;
+            if b < 0x80 {
+                return Some((v, pos + i + 1));
+            }
+        }
+        None
+    }
+
+    fn fast_varint128(buf: &[u8], pos: usize) -> Option<(u128, usize)> {
+        let mut p = pos;
+        read_varint128(buf, &mut p).ok().map(|v| (v, p))
+    }
+
+    #[test]
+    fn word_at_a_time_varint128_matches_bytewise_reference() {
+        const LEN: usize = 64;
+        let mut rand = stream(0x7A21);
+        for len in 1..=19usize {
+            for end in LEN - 24..=LEN {
+                let start = end - len;
+                let mut buf: Vec<u8> = (0..LEN).map(|_| rand() as u8).collect();
+                // A value whose encoding is exactly `len` bytes long.
+                let bits = (7 * len).min(128);
+                let r = u128::from(rand()) << 64 | u128::from(rand());
+                let v = (r & (u128::MAX >> (128 - bits))) | 1 << (7 * (len - 1));
+                let mut enc = Vec::new();
+                push_varint128(&mut enc, v);
+                assert_eq!(enc.len(), len);
+                buf[start..end].copy_from_slice(&enc);
+                let fast_path = start + 24 <= LEN;
+                assert_eq!(
+                    fast_varint128(&buf, start),
+                    Some((v, end)),
+                    "len {len} end {end} fast path {fast_path}"
+                );
+                assert_eq!(reference_varint128(&buf, start), Some((v, end)));
+                // Clearing the terminator runs the varint into the filler
+                // or off the end: both decoders must agree on the outcome.
+                buf[end - 1] |= 0x80;
+                assert_eq!(
+                    fast_varint128(&buf, start),
+                    reference_varint128(&buf, start),
+                    "unterminated: len {len} end {end}"
+                );
+            }
+        }
+        // Random bytes at every start, 7 in 8 of them continuation bytes:
+        // over-long runs, values past 128 bits, and truncations, on both
+        // paths.
+        for _ in 0..200 {
+            let groups = [0x7f, 0x0f, 0x03][(rand() % 3) as usize];
+            let buf: Vec<u8> = (0..LEN)
+                .map(|_| {
+                    let r = rand();
+                    let cont = if r % 8 == 0 { 0 } else { 0x80 };
+                    cont | (r >> 8) as u8 & groups
+                })
+                .collect();
+            for start in 0..=LEN {
+                assert_eq!(
+                    fast_varint128(&buf, start),
+                    reference_varint128(&buf, start),
+                    "{buf:?} at {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn varints_reject_overlong_and_overflowing_encodings() {
+        let max128 = [&[0xff; 18][..], &[0x03]].concat();
+        for (bytes, ok) in [
+            (max128, true),
+            ([&[0xff; 18][..], &[0x04]].concat(), false),
+            ([&[0xff; 19][..], &[0x01]].concat(), false),
+            (vec![0xff; 5], false),
+            (Vec::new(), false),
+        ] {
+            // Unpadded input takes the byte loop, padded the word path.
+            // Padding with continuation bytes keeps each outcome.
+            for pad in [0, 24] {
+                let buf = [&bytes[..], &vec![0xff; pad]].concat();
+                let got = fast_varint128(&buf, 0);
+                assert_eq!(got, reference_varint128(&buf, 0), "{buf:?}");
+                assert_eq!(got, ok.then_some((u128::MAX, 19)), "{buf:?}");
+            }
+        }
+        let mut max64 = vec![0xff; 9];
+        max64.push(0x01);
+        let mut pos = 0;
+        assert_eq!(read_varint(&max64, &mut pos), Ok(u64::MAX));
+        assert_eq!(pos, 10);
+        for bad in [
+            [&[0xff; 9][..], &[0x02]].concat(),
+            [&[0xff; 10][..], &[0x00]].concat(),
+            vec![0x80],
+            Vec::new(),
+        ] {
+            assert_eq!(read_varint(&bad, &mut 0), Err(Corrupt), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn block_contains_matches_decode_and_linear_search() {
+        let mut rand = stream(0xB10C);
+        for case in 0..60 {
+            // A few fingerprints shared by many keys, as DPOR produces:
+            // one state under several sleep sets, bounds and contexts.
+            let fps: Vec<u128> = (0..1 + rand() % 6)
+                .map(|_| u128::from(rand()) << 64 | u128::from(rand()))
+                .collect();
+            let n = 1 + rand() as usize % KEYS_PER_BLOCK;
+            let mut ks: Vec<Key> = (0..n)
+                .map(|_| {
+                    (
+                        fps[rand() as usize % fps.len()],
+                        rand() % 4,
+                        rand() % 3,
+                        rand() % 5,
+                    )
+                })
+                .collect();
+            ks.sort_unstable();
+            ks.dedup();
+            let mut enc = RunEncoder::new();
+            for &k in &ks {
+                enc.push(k);
+            }
+            let (bytes, fences, count, _) = enc.finish();
+            assert_eq!((fences.len(), count), (1, ks.len() as u64), "case {case}");
+            let mut decoded = Vec::new();
+            try_decode_block_into(&bytes, fences[0].count, &mut decoded).expect("decodes");
+            assert_eq!(decoded, ks, "case {case}");
+            for &fp in &fps {
+                for tail in 0..60 {
+                    let probe = (fp, tail % 4, (tail / 4) % 3, tail / 12);
+                    assert_eq!(
+                        block_contains(&bytes, fences[0].count, &probe),
+                        Ok(decoded.contains(&probe)),
+                        "case {case}: {probe:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefilter_separates_tail_word_variants_of_one_fingerprint() {
+        // Four stored variants per fingerprint; the absent variants share
+        // the fingerprint, so a fingerprint-only filter says "maybe" for
+        // every one of them.
+        const FPS: u64 = 4096;
+        let mut rand = stream(0xF117);
+        let fps: Vec<u128> = (0..FPS)
+            .map(|_| u128::from(rand()) << 64 | u128::from(rand()))
+            .collect();
+        let variant = |fp: u128, v: u64| (fp, v % 4, v / 4, v % 3);
+        let mut filter = Prefilter::with_capacity(4 * FPS as usize);
+        for &fp in &fps {
+            for v in 0..4 {
+                filter.insert(&variant(fp, v));
+            }
+        }
+        let mut maybe = 0;
+        for &fp in &fps {
+            for v in 0..4 {
+                assert!(filter.maybe_contains(&variant(fp, v)), "false negative");
+            }
+            maybe += (4..8)
+                .filter(|&v| filter.maybe_contains(&variant(fp, v)))
+                .count();
+        }
+        let rate = maybe as f64 / (4 * FPS) as f64;
+        assert!(rate < 0.05, "false-positive rate {rate}");
     }
 
     #[test]

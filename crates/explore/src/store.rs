@@ -6,7 +6,7 @@
 //! [`Key`] hasher — SwissTable is open addressing) absorbs inserts until it
 //! reaches its byte budget, then flushes as one sorted, delta-compressed
 //! run to a temporary file ([`crate::spill`]); runs merge log-structured
-//! (at [`MAX_RUNS`] a streaming k-way merge rewrites them as one). Because
+//! (at `MAX_RUNS` a streaming k-way merge rewrites them as one). Because
 //! every insert probes the cold tier *before* landing in the hot table,
 //! runs are pairwise disjoint and disjoint from the hot tier — the store is
 //! an exact set at every moment, and membership answers are independent of
@@ -33,6 +33,7 @@ use crate::spill::{
 use std::collections::{HashSet, VecDeque};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -135,7 +136,8 @@ pub enum Lookup {
 
 /// One immutable sorted run spilled to a temp file: fences and prefilter
 /// stay resident; the delta-compressed key blocks live on disk and are read
-/// back one block per probe.
+/// back one block per probe with a positioned read (no shared file cursor,
+/// so probing takes `&self`).
 struct ColdRun {
     path: PathBuf,
     file: File,
@@ -160,7 +162,7 @@ impl ColdRun {
         let mut filter = Prefilter::with_capacity(approx);
         for key in keys {
             enc.push(key);
-            filter.insert(key.0);
+            filter.insert(&key);
             if enc.buffered() >= WBUF_FLUSH {
                 file.write_all(&enc.drain())?;
             }
@@ -178,16 +180,16 @@ impl ColdRun {
     }
 
     /// Exact membership; reads at most one block from disk. The prefilter
-    /// check happens in [`VisitedStore::lookup`] so a miss never gets here.
-    fn contains(&mut self, key: &Key, block_buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    /// check happens in [`VisitedStore::in_cold_runs`] so a miss never gets
+    /// here. A block that does not decode is `InvalidData`.
+    fn contains(&self, key: &Key, block_buf: &mut Vec<u8>) -> std::io::Result<bool> {
         let Some(fi) = fence_for(&self.fences, key) else {
             return Ok(false);
         };
         let f = &self.fences[fi];
         block_buf.resize(f.len as usize, 0);
-        self.file.seek(SeekFrom::Start(f.offset))?;
-        self.file.read_exact(block_buf)?;
-        Ok(block_contains(block_buf, f.count, key))
+        self.file.read_exact_at(block_buf, f.offset)?;
+        Ok(block_contains(block_buf, f.count, key)?)
     }
 
     /// Resident index footprint (fences + prefilter); the key bytes are on
@@ -224,19 +226,19 @@ impl RunCursor {
         }
     }
 
+    /// Decodes the next block once the current one is consumed. A block
+    /// that does not decode is `InvalidData`.
     fn refill(&mut self) -> std::io::Result<()> {
         while self.pos >= self.keys.len() {
-            if self.fi >= self.run.fences.len() {
+            let Some(f) = self.run.fences.get(self.fi) else {
                 return Ok(());
-            }
-            let f = &self.run.fences[self.fi];
+            };
             self.fi += 1;
             self.block.resize(f.len as usize, 0);
-            self.run.file.seek(SeekFrom::Start(f.offset))?;
-            self.run.file.read_exact(&mut self.block)?;
+            self.run.file.read_exact_at(&mut self.block, f.offset)?;
             self.keys.clear();
             self.pos = 0;
-            spill::decode_block_into(&self.block, f.count, &mut self.keys);
+            spill::try_decode_block_into(&self.block, f.count, &mut self.keys)?;
         }
         Ok(())
     }
@@ -341,21 +343,30 @@ impl VisitedStore {
         if self.base.as_deref().is_some_and(|b| b.contains(key)) {
             return Lookup::Base;
         }
-        if !self.runs.is_empty() {
-            for run in &mut self.runs {
-                if !run.filter.maybe_contains(key.0) {
-                    continue;
-                }
-                shm_obs::counter!("store.cold_probes");
-                let mut buf = std::mem::take(&mut self.block_buf);
-                let hit = run.contains(key, &mut buf).expect("spill run read");
-                self.block_buf = buf;
-                if hit {
-                    return Lookup::Cold;
-                }
-            }
+        if !self.runs.is_empty() && self.in_cold_runs(key) {
+            return Lookup::Cold;
         }
         Lookup::New
+    }
+
+    /// Probes every cold run whose prefilter admits `key`. Kept out of line
+    /// so the hot-tier path of [`VisitedStore::insert`], the only one an
+    /// unbudgeted exploration runs, stays small.
+    #[inline(never)]
+    fn in_cold_runs(&mut self, key: &Key) -> bool {
+        for run in &self.runs {
+            if !run.filter.maybe_contains(key) {
+                continue;
+            }
+            shm_obs::counter!("store.cold_probes");
+            if run
+                .contains(key, &mut self.block_buf)
+                .expect("spill run read")
+            {
+                return true;
+            }
+        }
+        false
     }
 
     /// Inserts `key`, reporting which tier (if any) already had it. A
@@ -832,6 +843,22 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "non-string panic".into());
         assert!(msg.contains("state-fingerprint collision"), "{msg}");
+    }
+
+    #[test]
+    fn corrupt_run_blocks_read_as_invalid_data() {
+        let mut keys: Vec<Key> = (0..600).map(k).collect();
+        keys.sort_unstable();
+        let run = ColdRun::write(keys.iter().copied(), keys.len()).expect("spill run write");
+        assert!(run
+            .contains(&keys[0], &mut Vec::new())
+            .expect("intact run reads"));
+        // Every byte a continuation byte: the first varint never ends.
+        run.file.write_all_at(&[0xff; 32], 0).expect("overwrite");
+        let err = run.contains(&keys[0], &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let err = RunCursor::new(run).peek().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! reports are invariant under any memory budget (spilling moves keys and
 //! nodes between tiers, never changes answers).
 
-use shm_explore::spill::{CompressedKeySet, Key};
+use shm_explore::spill::{
+    block_contains, try_decode_block_into, CompressedKeySet, Corrupt, Key, RunEncoder,
+};
 use shm_explore::store::VisitedStore;
 use shm_explore::{check, Bounds, ScenarioSpec};
 use shm_sim::rng::mix64;
@@ -62,6 +64,65 @@ fn run_encoder_round_trips_random_sorted_batches() {
         for k in keys.iter().step_by(7) {
             let absent = (k.0, k.1, k.2 ^ 0x8000_0000_0000_0000, k.3);
             assert!(!set.contains(&absent), "case {case}: absent key");
+        }
+    }
+}
+
+/// A key of `block` or, for odd `r`, one whose context word differs.
+fn probe(block: &[Key], r: u64) -> Key {
+    let k = block[(r >> 1) as usize % block.len()];
+    (k.0, k.1, k.2, k.3 ^ (r & 1))
+}
+
+/// Seeded fuzz of the run decoders: valid blocks cut at every length and
+/// with random bytes flipped must come back as a value or [`Corrupt`],
+/// never a panic, and untouched blocks must decode exactly.
+#[test]
+fn spill_decoders_survive_truncated_and_corrupted_blocks() {
+    for seed in [3u64, 29, 71] {
+        let keys = random_sorted_keys(seed, 700);
+        let mut enc = RunEncoder::new();
+        for &k in &keys {
+            enc.push(k);
+        }
+        let (bytes, fences, _, _) = enc.finish();
+        let mut x = seed;
+        let mut rand = move || {
+            x = mix64(x);
+            x
+        };
+        let mut first = 0usize;
+        for f in &fences {
+            let block = &bytes[f.offset as usize..(f.offset + u64::from(f.len)) as usize];
+            let want = &keys[first..first + f.count as usize];
+            first += f.count as usize;
+            let mut decoded = Vec::new();
+            try_decode_block_into(block, f.count, &mut decoded).expect("untouched block");
+            assert_eq!(decoded, want, "seed {seed}: untouched block");
+            for cut in 0..block.len() {
+                let mut out = Vec::new();
+                assert_eq!(
+                    try_decode_block_into(&block[..cut], f.count, &mut out),
+                    Err(Corrupt),
+                    "seed {seed}: block cut at {cut}"
+                );
+                assert_eq!(&want[..out.len()], &out[..], "keys before the cut");
+                // An answer from a cut block is still exact: the scan only
+                // answers from keys it decoded whole.
+                let k = probe(want, rand());
+                if let Ok(hit) = block_contains(&block[..cut], f.count, &k) {
+                    assert_eq!(hit, want.contains(&k), "seed {seed}: cut at {cut}");
+                }
+            }
+            for _ in 0..300 {
+                let mut bad = block.to_vec();
+                for _ in 0..1 + rand() % 3 {
+                    let at = rand() as usize % bad.len();
+                    bad[at] ^= (rand() as u8) | 1;
+                }
+                let _ = try_decode_block_into(&bad, f.count, &mut Vec::new());
+                let _ = block_contains(&bad, f.count, &probe(want, rand()));
+            }
         }
     }
 }

@@ -100,7 +100,7 @@ impl Event {
     }
 
     /// Parses one job-log line. `Err` carries a description; a malformed
-    /// line is fatal to [`read_all`] and [`recover`] (an append-only log
+    /// line is fatal to [`read_all`] and `recover` (an append-only log
     /// this process also writes must parse) unless it is a torn final line.
     pub fn parse_line(line: &str) -> Result<Event, String> {
         let v = json::parse(line).map_err(|e| format!("bad joblog line: {e}"))?;

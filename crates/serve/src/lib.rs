@@ -13,7 +13,7 @@
 //! byte to the recorded completions.
 //!
 //! Module map: [`server`] (ingestion, queueing, execution), [`joblog`]
-//! (the event log), [`replay`] (byte-identity verification). The
+//! (the event log), [`replay`](mod@replay) (byte-identity verification). The
 //! `cc-dsm serve` subcommands front all three (`run` / `replay` /
 //! `submit`).
 

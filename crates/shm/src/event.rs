@@ -321,7 +321,7 @@ impl Drop for EventLog {
 /// O(1) hash comparison.
 ///
 /// Each event is folded into its process's hash at `push`, while it is
-/// still in registers, so a read is a plain lookup. [`History::rewind`]
+/// still in registers, so a read is a plain lookup. `History::rewind`
 /// reinstates the hashes a checkpoint recorded.
 #[derive(Clone, Debug, Default)]
 pub struct History {

@@ -313,7 +313,7 @@ pub(crate) struct CellUndo {
 ///
 /// The representation is structure-of-arrays: parallel dense columns
 /// indexed by [`Addr`] (values, owners, last writers) plus one
-/// [`PidTable`] each for the writer sets and the live LL reservations.
+/// `PidTable` each for the writer sets and the live LL reservations.
 /// A step touches a handful of adjacent flat slots instead of a 100-byte
 /// `Cell` struct with two heap vectors, and cloning — the unit of work of
 /// checkpoints and explorer snapshots — is a few flat memcpys with no
