@@ -85,8 +85,9 @@ fn push_varint128(out: &mut Vec<u8>, mut v: u128) {
 }
 
 /// Byte-at-a-time LEB128 decode of a value of `width` bits (64 or 128):
-/// every index is checked, and a varint with more than `ceil(width / 7)`
-/// bytes or with bits at or past `width` is [`Corrupt`].
+/// every index is checked, and a varint that runs off the end of `buf`,
+/// has more than `ceil(width / 7)` bytes, or sets a bit at or past `width`
+/// is [`Corrupt`].
 fn read_varint_bytes(buf: &[u8], pos: &mut usize, width: u32) -> Result<u128, Corrupt> {
     let rest = buf.get(*pos..).unwrap_or_default();
     let mut v = 0u128;
@@ -165,7 +166,7 @@ fn read_varint128(buf: &[u8], pos: &mut usize) -> Result<u128, Corrupt> {
         return Ok(lo | u128::from(pack7(groups_to_stop(w1, stop))) << 56);
     }
     // A u128 takes at most 19 bytes, so the terminator must be among the
-    // third word's first three bytes, which may carry 16 bits at most.
+    // third word's first three bytes, whose groups hold bits 112..128.
     let w2 = word(2);
     let stop = !w2 & 0x0080_8080;
     if stop == 0 {
