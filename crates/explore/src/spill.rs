@@ -346,7 +346,9 @@ pub fn decode_block_into(block: &[u8], count: u32, out: &mut Vec<Key>) {
 }
 
 /// Whether `key` occurs in the encoded block. Scans in sorted order with
-/// early exit (keys ascend strictly within a block).
+/// early exit (keys ascend strictly within a block), so a damaged block
+/// is [`Corrupt`] only if the scan reaches the damage; any answer it
+/// gives comes from keys it decoded whole.
 pub fn block_contains(block: &[u8], count: u32, key: &Key) -> Result<bool, Corrupt> {
     let mut pos = 0usize;
     let mut prev: Key = (0, 0, 0, 0);
