@@ -18,10 +18,17 @@
 //! [`CostState`] agrees with the naive pricing rules under every model, not
 //! just the one the run happened to use.
 //!
+//! The naive reference keeps each cell's cache-validity set in a flat bitset
+//! of its own (⌈n/64⌉ words per cell under the CC models, none under DSM),
+//! with no code shared with [`CostState`]. After every access the two sets
+//! are compared word for word, so one audited access costs O(⌈n/64⌉) word
+//! operations and allocates nothing, however many processes hold a copy.
+//!
 //! On the first divergence the audit stops and reports an
 //! [`AuditDivergence`] naming the schedule step, the process, the memory
 //! location (by label) and the expected vs. actual value — renderable as
-//! JSON for machine consumption by `--audit` drivers.
+//! JSON for machine consumption by `--audit` drivers. Labels and holder
+//! lists are rendered only then, never on a clean access.
 //!
 //! # Parallel sharding
 //!
@@ -261,13 +268,48 @@ fn naive_apply(cell: &mut NaiveCell, pid: ProcId, op: Op) -> (Word, bool, bool) 
     }
 }
 
+/// Words per cell of a walk's naive validity table: one bit per process
+/// under the CC models, none under DSM (which keeps no caches).
+fn naive_stride(model: CostModel, n_procs: usize) -> usize {
+    match model {
+        CostModel::Dsm => 0,
+        CostModel::Cc(_) => n_procs.div_ceil(64).max(1),
+    }
+}
+
+/// Whether two validity bitsets hold the same members. A word missing from
+/// the shorter slice reads as zero, so DSM's empty stripe needs no special
+/// case. The differences are OR-ed in a plain word loop: on slices this
+/// short that is much cheaper than a `memcmp` call.
+fn same_members(a: &[u64], b: &[u64]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (head, tail) = long.split_at(short.len());
+    let diff = short.iter().zip(head).fold(0, |d, (x, y)| d | (x ^ y));
+    tail.iter().fold(diff, |d, y| d | y) == 0
+}
+
+/// A validity bitset's members in ascending process-ID order.
+fn members(words: &[u64]) -> Vec<ProcId> {
+    let mut out = Vec::new();
+    for (blk, &bits) in words.iter().enumerate() {
+        let mut rest = bits;
+        while rest != 0 {
+            out.push(ProcId((blk * 64 + rest.trailing_zeros() as usize) as u32));
+            rest &= rest - 1;
+        }
+    }
+    out
+}
+
 /// Naive re-implementation of the pricing rules of §2/§8, straight from the
-/// definitions, with a plain `BTreeSet` as the cache-validity set.
+/// definitions. `valid` is the cell's valid-copy set as a bitset (bit
+/// `p % 64` of word `p / 64` is process `p`), which DSM never reads; one
+/// call costs O(`valid.len()`) word operations.
 fn naive_charge(
     model: CostModel,
     n_procs: usize,
     owner: Option<ProcId>,
-    valid: &mut BTreeSet<ProcId>,
+    valid: &mut [u64],
     pid: ProcId,
     nontrivial: bool,
     failed_comparison: bool,
@@ -288,11 +330,13 @@ fn naive_charge(
         // LFCU: failed comparison primitives are applied locally, for free.
         return AccessCost::default();
     }
+    let (word, bit) = (pid.index() / 64, 1u64 << (pid.index() % 64));
+    let mine = (valid[word] & bit) != 0;
     if !nontrivial {
         // Trivial access: a cache hit if this process holds a valid copy,
         // otherwise one fetch that installs a copy.
-        let rmr = !valid.contains(&pid);
-        valid.insert(pid);
+        let rmr = !mine;
+        valid[word] |= bit;
         return AccessCost {
             rmr,
             messages: u64::from(rmr),
@@ -300,10 +344,11 @@ fn naive_charge(
         };
     }
     // Nontrivial access.
-    let holders_elsewhere = valid.iter().filter(|&&q| q != pid).count() as u64;
+    let holders: u64 = valid.iter().map(|w| u64::from(w.count_ones())).sum();
+    let holders_elsewhere = holders - u64::from(mine);
     let rmr = match cfg.protocol {
         Protocol::WriteThrough => true,
-        Protocol::WriteBack => !(valid.contains(&pid) && holders_elsewhere == 0),
+        Protocol::WriteBack => !(mine && holders_elsewhere == 0),
     };
     let coherence = match cfg.interconnect {
         Interconnect::Bus => u64::from(holders_elsewhere > 0),
@@ -317,13 +362,12 @@ fn naive_charge(
         }
     };
     let invalidations = if cfg.lfcu { 0 } else { holders_elsewhere };
-    if cfg.lfcu {
-        // Write-update: remote copies are refreshed, not destroyed.
-        valid.insert(pid);
-    } else {
-        valid.clear();
-        valid.insert(pid);
+    if !cfg.lfcu {
+        // Invalidation: every other copy is destroyed. (Under LFCU's
+        // write-update, remote copies are refreshed instead.)
+        valid.fill(0);
     }
+    valid[word] |= bit;
     AccessCost {
         rmr,
         messages: u64::from(rmr) + coherence,
@@ -347,7 +391,7 @@ struct ShadowProc {
 struct Walk<'a> {
     sim: &'a Simulator,
     spec: &'a SimSpec,
-    labels: Labels,
+    labels: &'a Labels,
     model: CostModel,
     mlabel: String,
     /// Full diff (events + charges + end state) vs. charge-only cross-check.
@@ -364,7 +408,11 @@ struct Walk<'a> {
     steps_walked: usize,
     events_checked: usize,
     cells: Vec<NaiveCell>,
-    valid: Vec<BTreeSet<ProcId>>,
+    /// Naive cache-validity sets as one flat bitset: cell `a`'s set is
+    /// `valid[a * stride..][..stride]` (see [`naive_charge`]).
+    valid: Vec<u64>,
+    /// Words per cell of `valid` ([`naive_stride`]).
+    stride: usize,
     /// Production cost-model state driven in parallel with the naive one, so
     /// a pricing divergence is localized to the `CostState` implementation
     /// (`model.*` fields) rather than to the replay engine (`cost.*` fields).
@@ -374,52 +422,15 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(sim: &'a Simulator, spec: &'a SimSpec, model: CostModel, full: bool) -> Self {
-        let cells = (0..spec.layout.len())
-            .map(|a| NaiveCell {
-                value: spec.layout.initial_value(Addr(a as u32)),
-                last_writer: None,
-                reserved: BTreeSet::new(),
-            })
-            .collect();
-        let procs = spec
-            .sources
-            .iter()
-            .map(|s| ShadowProc {
-                source: s.clone(),
-                current: None,
-                last_op_result: None,
-                last_return: None,
-                runnable: true,
-                stats: ProcStats::default(),
-            })
-            .collect();
-        Walk {
-            sim,
-            spec,
-            labels: spec.layout.labels().clone(),
-            model,
-            mlabel: model_label(model),
-            full,
-            sched_start: 0,
-            sched_end: sim.schedule().len(),
-            event_end: sim.history().len(),
-            cursor: 0,
-            step: 0,
-            steps_walked: 0,
-            events_checked: 0,
-            cells,
-            valid: vec![BTreeSet::new(); spec.layout.len()],
-            fast: CostState::new(model, spec.n(), spec.layout.len()),
-            procs,
-            totals: Totals::default(),
-        }
-    }
-
-    /// A walk over one chunk of the full walk: schedule `[range.0, range.1)`,
-    /// events `[range.2, range.3)`, state seeded from `seed` (the checkpoint
-    /// closing the previous chunk) or fresh for the first chunk.
-    fn chunk(
+    /// A walk over schedule `[range.0, range.1)` and events
+    /// `[range.2, range.3)`, its state seeded from `seed` (the checkpoint
+    /// closing the previous chunk of the full walk) or fresh from the spec.
+    ///
+    /// A seed is not taken on faith: the chunk that *ends* at that
+    /// checkpoint re-derived the same observable state independently and
+    /// diffed it via [`Walk::check_boundary`], so trust chains inductively
+    /// from the fresh first chunk.
+    fn new(
         sim: &'a Simulator,
         spec: &'a SimSpec,
         model: CostModel,
@@ -427,55 +438,98 @@ impl<'a> Walk<'a> {
         range: (usize, usize, usize, usize),
         seed: Option<&Checkpoint>,
     ) -> Self {
-        let mut w = Walk::new(sim, spec, model, full);
-        w.sched_start = range.0;
-        w.sched_end = range.1;
-        w.cursor = range.2;
-        w.event_end = range.3;
-        w.step = range.0;
-        if let Some(c) = seed {
-            w.seed_from(c);
-        }
-        w
-    }
-
-    /// Seeds the naive shadow state from a recorded checkpoint. The seed is
-    /// not taken on faith: the chunk that *ends* at this checkpoint
-    /// re-derived the same observable state independently and diffed it via
-    /// [`Walk::check_boundary`], so trust chains inductively from the fresh
-    /// first chunk.
-    fn seed_from(&mut self, ckpt: &Checkpoint) {
-        let mem = ckpt.memory();
-        for a in 0..self.spec.layout.len() {
-            let addr = Addr(a as u32);
-            self.cells[a] = NaiveCell {
-                value: mem.peek(addr),
-                last_writer: mem.last_writer(addr),
-                reserved: mem.reservations(addr).collect(),
-            };
-            self.valid[a] = ckpt.cost().holders(addr).iter().copied().collect();
-        }
-        self.fast = ckpt.cost().clone();
-        self.procs = ckpt
-            .procs()
-            .iter()
-            .map(|p| ShadowProc {
-                source: p.source.clone(),
-                current: p.current.clone(),
-                last_op_result: p.last_op_result,
-                last_return: p.last_return,
-                runnable: p.status == Status::Runnable,
-                stats: p.stats,
+        let n_cells = spec.layout.len();
+        let cells = (0..n_cells)
+            .map(|a| {
+                let addr = Addr(a as u32);
+                match seed.map(|c| c.memory()) {
+                    None => NaiveCell {
+                        value: spec.layout.initial_value(addr),
+                        last_writer: None,
+                        reserved: BTreeSet::new(),
+                    },
+                    Some(mem) => NaiveCell {
+                        value: mem.peek(addr),
+                        last_writer: mem.last_writer(addr),
+                        reserved: mem.reservations(addr).collect(),
+                    },
+                }
             })
             .collect();
-        self.totals = ckpt.totals();
+        let stride = naive_stride(model, spec.n());
+        let mut valid = vec![0; n_cells * stride];
+        if let Some(c) = seed {
+            for a in 0..n_cells {
+                let words = c.cost().holder_words(Addr(a as u32));
+                let k = words.len().min(stride);
+                valid[a * stride..][..k].copy_from_slice(&words[..k]);
+            }
+        }
+        let procs = match seed {
+            None => spec
+                .sources
+                .iter()
+                .map(|s| ShadowProc {
+                    source: s.clone(),
+                    current: None,
+                    last_op_result: None,
+                    last_return: None,
+                    runnable: true,
+                    stats: ProcStats::default(),
+                })
+                .collect(),
+            Some(c) => c
+                .procs()
+                .iter()
+                .map(|p| ShadowProc {
+                    source: p.source.clone(),
+                    current: p.current.clone(),
+                    last_op_result: p.last_op_result,
+                    last_return: p.last_return,
+                    runnable: p.status == Status::Runnable,
+                    stats: p.stats,
+                })
+                .collect(),
+        };
+        Walk {
+            sim,
+            spec,
+            labels: spec.layout.labels(),
+            model,
+            mlabel: model_label(model),
+            full,
+            sched_start: range.0,
+            sched_end: range.1,
+            event_end: range.3,
+            cursor: range.2,
+            step: range.0,
+            steps_walked: 0,
+            events_checked: 0,
+            cells,
+            valid,
+            stride,
+            fast: seed.map_or_else(
+                || CostState::new(model, spec.n(), n_cells),
+                |c| c.cost().clone(),
+            ),
+            procs,
+            totals: seed.map_or_else(Totals::default, Checkpoint::totals),
+        }
     }
 
+    /// Cell `a`'s naive valid-copy set.
+    fn naive_set(&self, a: usize) -> &[u64] {
+        &self.valid[a * self.stride..(a + 1) * self.stride]
+    }
+
+    /// The divergence at recorded event `event`. `at` names the memory
+    /// location involved; its label is rendered only here, once a
+    /// divergence is found.
     fn diverge(
         &self,
         event: usize,
         pid: Option<ProcId>,
-        location: &str,
+        at: Option<Addr>,
         field: &str,
         expected: impl fmt::Display,
         actual: impl fmt::Display,
@@ -485,7 +539,7 @@ impl<'a> Walk<'a> {
             step: self.step,
             event,
             pid,
-            location: location.to_string(),
+            location: at.map_or_else(|| "-".to_string(), |a| self.labels.name(a)),
             field: field.to_string(),
             expected: expected.to_string(),
             actual: actual.to_string(),
@@ -514,7 +568,7 @@ impl<'a> Walk<'a> {
         self.diverge(
             self.event_end,
             Some(pid),
-            "-",
+            None,
             "events",
             format!("{wanted} event for {pid}"),
             "recorded history ended early",
@@ -539,7 +593,7 @@ impl<'a> Walk<'a> {
             other => Some(self.diverge(
                 idx,
                 Some(pid),
-                "-",
+                None,
                 "event",
                 format!("Invoke {{ {pid}, kind {}, {name:?} }}", kind.0),
                 format!("{other:?}"),
@@ -565,13 +619,13 @@ impl<'a> Walk<'a> {
                 if rv == value {
                     None
                 } else {
-                    Some(self.diverge(idx, Some(pid), "-", "return.value", value, rv))
+                    Some(self.diverge(idx, Some(pid), None, "return.value", value, rv))
                 }
             }
             other => Some(self.diverge(
                 idx,
                 Some(pid),
-                "-",
+                None,
                 "event",
                 format!("Return {{ {pid}, kind {}, {value} }}", kind.0),
                 format!("{other:?}"),
@@ -588,7 +642,7 @@ impl<'a> Walk<'a> {
             other => Some(self.diverge(
                 idx,
                 Some(pid),
-                "-",
+                None,
                 "event",
                 format!("Terminate {{ {pid} }}"),
                 format!("{other:?}"),
@@ -602,7 +656,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                "-",
+                None,
                 "injection",
                 "no call in progress",
                 "recorded injection into a process mid-call",
@@ -634,7 +688,7 @@ impl<'a> Walk<'a> {
             self.model,
             self.spec.n(),
             owner,
-            &mut self.valid[addr.index()],
+            &mut self.valid[addr.index() * self.stride..(addr.index() + 1) * self.stride],
             pid,
             nontrivial,
             failed_comparison,
@@ -659,13 +713,12 @@ impl<'a> Walk<'a> {
         self.totals.invalidations += naive.invalidations;
         self.procs[pid.index()].last_op_result = Some(result);
 
-        let loc = self.labels.name(addr);
         // Production cost model vs. naive pricing rules (all model walks).
         if fastc.rmr != naive.rmr {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "model.rmr",
                 naive.rmr,
                 fastc.rmr,
@@ -675,7 +728,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "model.messages",
                 naive.messages,
                 fastc.messages,
@@ -685,23 +738,23 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "model.invalidations",
                 naive.invalidations,
                 fastc.invalidations,
             ));
         }
         // Cache-validity state: naive set vs. production holders.
-        let fast_holders = self.fast.holders(addr);
-        let naive_holders: Vec<ProcId> = self.valid[addr.index()].iter().copied().collect();
-        if fast_holders != naive_holders {
+        let naive_set = self.naive_set(addr.index());
+        let fast_set = self.fast.holder_words(addr);
+        if !same_members(naive_set, fast_set) {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "cache.holders",
-                format!("{naive_holders:?}"),
-                format!("{fast_holders:?}"),
+                format!("{:?}", members(naive_set)),
+                format!("{:?}", members(fast_set)),
             ));
         }
 
@@ -723,7 +776,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 idx,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "event",
                 format!("Access {{ {pid}, {op} }}"),
                 format!("{ev:?}"),
@@ -733,23 +786,23 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 idx,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "event",
                 format!("Access {{ {pid}, {op} }}"),
                 format!("Access {{ {rp}, {rop} }}"),
             ));
         }
         if rres != result {
-            return Some(self.diverge(idx, Some(pid), &loc, "result", result, rres));
+            return Some(self.diverge(idx, Some(pid), Some(addr), "result", result, rres));
         }
         if rwrote != nontrivial {
-            return Some(self.diverge(idx, Some(pid), &loc, "wrote", nontrivial, rwrote));
+            return Some(self.diverge(idx, Some(pid), Some(addr), "wrote", nontrivial, rwrote));
         }
         if rsees != sees {
             return Some(self.diverge(
                 idx,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "sees",
                 format!("{sees:?}"),
                 format!("{rsees:?}"),
@@ -759,7 +812,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 idx,
                 Some(pid),
-                &loc,
+                Some(addr),
                 "touches",
                 format!("{touches:?}"),
                 format!("{rtouches:?}"),
@@ -767,13 +820,20 @@ impl<'a> Walk<'a> {
         }
         if self.full {
             if rcost.rmr != naive.rmr {
-                return Some(self.diverge(idx, Some(pid), &loc, "cost.rmr", naive.rmr, rcost.rmr));
+                return Some(self.diverge(
+                    idx,
+                    Some(pid),
+                    Some(addr),
+                    "cost.rmr",
+                    naive.rmr,
+                    rcost.rmr,
+                ));
             }
             if rcost.messages != naive.messages {
                 return Some(self.diverge(
                     idx,
                     Some(pid),
-                    &loc,
+                    Some(addr),
                     "cost.messages",
                     naive.messages,
                     rcost.messages,
@@ -783,7 +843,7 @@ impl<'a> Walk<'a> {
                 return Some(self.diverge(
                     idx,
                     Some(pid),
-                    &loc,
+                    Some(addr),
                     "cost.invalidations",
                     naive.invalidations,
                     rcost.invalidations,
@@ -800,7 +860,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 self.cursor,
                 Some(pid),
-                "-",
+                None,
                 "schedule",
                 format!("{pid} runnable"),
                 "recorded step by a non-runnable process",
@@ -900,7 +960,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 evlen,
                 None,
-                "-",
+                None,
                 "totals.steps",
                 self.totals.steps,
                 t.steps,
@@ -910,20 +970,20 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 evlen,
                 None,
-                "-",
+                None,
                 "totals.accesses",
                 self.totals.accesses,
                 t.accesses,
             ));
         }
         if t.rmrs != self.totals.rmrs {
-            return Some(self.diverge(evlen, None, "-", "totals.rmrs", self.totals.rmrs, t.rmrs));
+            return Some(self.diverge(evlen, None, None, "totals.rmrs", self.totals.rmrs, t.rmrs));
         }
         if t.messages != self.totals.messages {
             return Some(self.diverge(
                 evlen,
                 None,
-                "-",
+                None,
                 "totals.messages",
                 self.totals.messages,
                 t.messages,
@@ -933,7 +993,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 evlen,
                 None,
-                "-",
+                None,
                 "totals.invalidations",
                 self.totals.invalidations,
                 t.invalidations,
@@ -946,7 +1006,7 @@ impl<'a> Walk<'a> {
                 return Some(self.diverge(
                     evlen,
                     Some(p),
-                    "-",
+                    None,
                     "stats",
                     format!("{want:?}"),
                     format!("{got:?}"),
@@ -955,13 +1015,12 @@ impl<'a> Walk<'a> {
         }
         for a in 0..self.spec.layout.len() {
             let addr = Addr(a as u32);
-            let loc = self.labels.name(addr);
             let cell = &self.cells[a];
             if mem.peek(addr) != cell.value {
                 return Some(self.diverge(
                     evlen,
                     None,
-                    &loc,
+                    Some(addr),
                     "memory.value",
                     cell.value,
                     mem.peek(addr),
@@ -971,35 +1030,33 @@ impl<'a> Walk<'a> {
                 return Some(self.diverge(
                     evlen,
                     None,
-                    &loc,
+                    Some(addr),
                     "memory.last_writer",
                     format!("{:?}", cell.last_writer),
                     format!("{:?}", mem.last_writer(addr)),
                 ));
             }
-            if check_reservations {
+            // Both sides iterate in ascending pid order without repeats.
+            if check_reservations && !mem.reservations(addr).eq(cell.reserved.iter().copied()) {
                 let live_rsv: BTreeSet<ProcId> = mem.reservations(addr).collect();
-                if live_rsv != cell.reserved {
-                    return Some(self.diverge(
-                        evlen,
-                        None,
-                        &loc,
-                        "memory.reservations",
-                        format!("{:?}", cell.reserved),
-                        format!("{live_rsv:?}"),
-                    ));
-                }
-            }
-            let live_holders = cost.holders(addr);
-            let naive_holders: Vec<ProcId> = self.valid[a].iter().copied().collect();
-            if live_holders != naive_holders {
                 return Some(self.diverge(
                     evlen,
                     None,
-                    &loc,
+                    Some(addr),
+                    "memory.reservations",
+                    format!("{:?}", cell.reserved),
+                    format!("{live_rsv:?}"),
+                ));
+            }
+            let (naive_set, live_set) = (self.naive_set(a), cost.holder_words(addr));
+            if !same_members(naive_set, live_set) {
+                return Some(self.diverge(
+                    evlen,
+                    None,
+                    Some(addr),
                     "cache.holders",
-                    format!("{naive_holders:?}"),
-                    format!("{live_holders:?}"),
+                    format!("{:?}", members(naive_set)),
+                    format!("{:?}", members(live_set)),
                 ));
             }
         }
@@ -1044,7 +1101,7 @@ impl<'a> Walk<'a> {
                 return Some(self.diverge(
                     idx,
                     Some(ev.pid()),
-                    "-",
+                    None,
                     "events",
                     "checkpoint boundary",
                     format!("{ev:?} beyond chunk"),
@@ -1065,7 +1122,7 @@ impl<'a> Walk<'a> {
             return Some(self.diverge(
                 idx,
                 Some(ev.pid()),
-                "-",
+                None,
                 "events",
                 "end of execution",
                 format!("{ev:?} beyond shadow execution"),
@@ -1175,7 +1232,7 @@ pub(crate) fn run_audit(sim: &Simulator, spec: &SimSpec, threads: usize) -> Audi
         // shard's own re-priced charge is the delta past that seed.
         let seed_rmrs = s.seed.map_or(0, |c| ckpts[c].totals().rmrs);
         let mtag = crate::model::model_tag(s.model);
-        let mut walk = Walk::chunk(
+        let mut walk = Walk::new(
             sim,
             spec,
             s.model,
@@ -1380,6 +1437,320 @@ mod tests {
         let report = sim.audit(&spec);
         assert!(report.is_clean());
         assert_eq!(report.steps_checked, 0);
+    }
+
+    /// The naive pricing rules as they stood with a `BTreeSet` validity set,
+    /// kept verbatim as the reference for the bitset version.
+    fn btree_naive_charge(
+        model: CostModel,
+        n_procs: usize,
+        owner: Option<ProcId>,
+        valid: &mut BTreeSet<ProcId>,
+        pid: ProcId,
+        nontrivial: bool,
+        failed_comparison: bool,
+    ) -> AccessCost {
+        let cfg = match model {
+            CostModel::Dsm => {
+                // DSM: remote iff the cell lives in another module. Stateless.
+                let rmr = owner != Some(pid);
+                return AccessCost {
+                    rmr,
+                    messages: u64::from(rmr),
+                    invalidations: 0,
+                };
+            }
+            CostModel::Cc(cfg) => cfg,
+        };
+        if failed_comparison && cfg.lfcu {
+            // LFCU: failed comparison primitives are applied locally, for free.
+            return AccessCost::default();
+        }
+        if !nontrivial {
+            // Trivial access: a cache hit if this process holds a valid copy,
+            // otherwise one fetch that installs a copy.
+            let rmr = !valid.contains(&pid);
+            valid.insert(pid);
+            return AccessCost {
+                rmr,
+                messages: u64::from(rmr),
+                invalidations: 0,
+            };
+        }
+        // Nontrivial access.
+        let holders_elsewhere = valid.iter().filter(|&&q| q != pid).count() as u64;
+        let rmr = match cfg.protocol {
+            Protocol::WriteThrough => true,
+            Protocol::WriteBack => !(valid.contains(&pid) && holders_elsewhere == 0),
+        };
+        let coherence = match cfg.interconnect {
+            Interconnect::Bus => u64::from(holders_elsewhere > 0),
+            Interconnect::IdealDirectory => holders_elsewhere,
+            Interconnect::StatelessBroadcast => {
+                if rmr {
+                    n_procs as u64 - 1
+                } else {
+                    0
+                }
+            }
+        };
+        let invalidations = if cfg.lfcu { 0 } else { holders_elsewhere };
+        if cfg.lfcu {
+            // Write-update: remote copies are refreshed, not destroyed.
+            valid.insert(pid);
+        } else {
+            valid.clear();
+            valid.insert(pid);
+        }
+        AccessCost {
+            rmr,
+            messages: u64::from(rmr) + coherence,
+            invalidations,
+        }
+    }
+
+    /// Splitmix64: tiny deterministic generator for the reference test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The bitset `naive_charge` prices every access like the `BTreeSet`
+    /// reference and leaves the same members behind: trivial, nontrivial
+    /// and failed-comparison accesses by random pids, at sizes around the
+    /// word boundaries, under the four standard models and a stateless-
+    /// broadcast one. The write rate varies by seed, so holder sets range
+    /// from a few members to most of the processes.
+    #[test]
+    fn bitset_naive_charge_matches_btreeset_reference() {
+        let bcast = CostModel::Cc(CcConfig {
+            protocol: Protocol::WriteBack,
+            lfcu: false,
+            interconnect: Interconnect::StatelessBroadcast,
+        });
+        let accesses = if cfg!(debug_assertions) { 400 } else { 4000 };
+        for n in [1usize, 2, 63, 64, 65, 130, 1024] {
+            let owners = [None, Some(ProcId(0)), Some(ProcId(n as u32 - 1))];
+            for model in standard_models().into_iter().chain([bcast]) {
+                let stride = naive_stride(model, n);
+                for (seed, write_every) in [2u64, 8, 64, 1024].into_iter().enumerate() {
+                    let mut rng = (seed as u64 + 1).wrapping_mul(0x5851_f42d_4c95_7f2d) ^ n as u64;
+                    let mut sets = vec![0u64; owners.len() * stride];
+                    let mut reference = vec![BTreeSet::new(); owners.len()];
+                    for i in 0..accesses {
+                        let pid = ProcId((splitmix(&mut rng) % n as u64) as u32);
+                        let a = (splitmix(&mut rng) % owners.len() as u64) as usize;
+                        let r = splitmix(&mut rng);
+                        let (nontrivial, failed) = if r % write_every == 0 {
+                            (true, false)
+                        } else {
+                            (false, (r >> 32) % 4 == 0)
+                        };
+                        let set = &mut sets[a * stride..(a + 1) * stride];
+                        let got = naive_charge(model, n, owners[a], set, pid, nontrivial, failed);
+                        let want = btree_naive_charge(
+                            model,
+                            n,
+                            owners[a],
+                            &mut reference[a],
+                            pid,
+                            nontrivial,
+                            failed,
+                        );
+                        let ctx = format!(
+                            "{} n={n} seed={seed} access {i}: {pid} on cell {a}, \
+                             nontrivial={nontrivial} failed={failed}",
+                            model_label(model)
+                        );
+                        assert_eq!(got, want, "{ctx}");
+                        assert_eq!(
+                            members(set),
+                            reference[a].iter().copied().collect::<Vec<_>>(),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_members_reads_missing_words_as_zero() {
+        assert!(same_members(&[], &[]));
+        assert!(same_members(&[], &[0, 0]));
+        assert!(same_members(&[5, 0], &[5]));
+        assert!(!same_members(&[5], &[5, 1 << 63]));
+        assert!(!same_members(&[4, 0], &[5, 0]));
+        assert!(!same_members(&[], &[0, 2]));
+    }
+
+    /// Pid 3 reads `A`; every other process writes its own `M` cell.
+    fn one_reader_spec(n: usize, model: CostModel) -> SimSpec {
+        let mut layout = MemLayout::new();
+        let a = layout.alloc_global(0);
+        layout.set_label(a, "A");
+        let mine = layout.alloc_per_process_array(n, 0);
+        layout.set_array_label(mine, "M");
+        let sources = (0..n)
+            .map(|i| {
+                let ops = if i == 3 {
+                    vec![Op::Read(a)]
+                } else {
+                    vec![Op::Write(mine.at(i), 1)]
+                };
+                let call = ScriptedCall::new(
+                    CallKind(0),
+                    "one",
+                    Arc::new(move || {
+                        Box::new(OpSequence::new(ops.clone()))
+                            as Box<dyn crate::machine::ProcedureCall>
+                    }),
+                );
+                Box::new(Script::new(vec![call])) as Box<dyn CallSource>
+            })
+            .collect();
+        SimSpec {
+            layout,
+            sources,
+            model,
+        }
+    }
+
+    /// Adds pid 129, a member of the third validity word, to cell `A`'s
+    /// naive set.
+    fn add_pid_129_to_a(walk: &mut Walk<'_>) {
+        assert_eq!(walk.stride, 3, "130 processes take three words");
+        walk.valid[2] |= 1 << 1;
+    }
+
+    /// The `cache.holders` check compares whole sets, past the first word:
+    /// a naive set with one extra member is caught by the access-time check
+    /// on the next access to the cell, and, when the chunk never touches
+    /// the cell again, by the boundary diff at the closing checkpoint.
+    /// Both sides render as ascending `ProcId` lists.
+    #[test]
+    fn extra_naive_holder_past_the_first_word_is_caught() {
+        let model = CostModel::Cc(CcConfig {
+            protocol: Protocol::WriteThrough,
+            lfcu: false,
+            interconnect: Interconnect::IdealDirectory,
+        });
+        let n = 130;
+        let spec = one_reader_spec(n, model);
+        for interval in [None, Some(8)] {
+            let mut sim = Simulator::new(&spec);
+            if let Some(iv) = interval {
+                sim.enable_checkpoints(iv);
+            }
+            // Pid 3 reads A first and is done; nothing touches A after it.
+            for p in std::iter::once(3).chain((0..n as u32).filter(|&p| p != 3)) {
+                while sim.step(ProcId(p)) != crate::sim::StepReport::NotRunnable {}
+            }
+            assert!(sim.audit_with_threads(&spec, 1).is_clean());
+            let (sched_len, ev_len) = (sim.schedule().len(), sim.history().len());
+            let d = match interval {
+                None => {
+                    let mut walk =
+                        Walk::new(&sim, &spec, model, true, (0, sched_len, 0, ev_len), None);
+                    add_pid_129_to_a(&mut walk);
+                    let d = walk.run(None).expect("extra holder caught");
+                    assert_eq!((d.step, d.event, d.pid), (0, 1, Some(ProcId(3))));
+                    d
+                }
+                Some(_) => {
+                    // The second chunk: seeded after pid 3's read, it never
+                    // touches A, so only its closing boundary diff can see
+                    // the extra member.
+                    let ckpts = sim.checkpoints();
+                    let (open, close) = (&ckpts[1], &ckpts[2]);
+                    assert!(open.schedule_len() > 3, "pid 3 is done before the chunk");
+                    let range = (
+                        open.schedule_len(),
+                        close.schedule_len(),
+                        open.history_len(),
+                        close.history_len(),
+                    );
+                    let mut walk = Walk::new(&sim, &spec, model, true, range, Some(open));
+                    add_pid_129_to_a(&mut walk);
+                    let d = walk.run(Some(close)).expect("extra holder caught");
+                    assert_eq!(
+                        (d.step, d.event, d.pid),
+                        (close.schedule_len(), close.history_len(), None)
+                    );
+                    d
+                }
+            };
+            assert_eq!(d.model, "cc-wt-dir");
+            assert_eq!(d.field, "cache.holders");
+            assert_eq!(d.location, "A");
+            assert_eq!(d.expected, "[ProcId(3), ProcId(129)]");
+            assert_eq!(d.actual, "[ProcId(3)]");
+        }
+    }
+
+    /// The chunked full walk reports what one unchunked walk of the same
+    /// schedule reports: the same clean report, and, with the same recorded
+    /// charge tampered inside a middle chunk, the same divergence.
+    #[test]
+    fn chunked_audit_matches_one_walk() {
+        for model in standard_models() {
+            let spec = mixed_spec(5, 4, model);
+            let mut chunked = Simulator::new(&spec);
+            chunked.enable_checkpoints(8);
+            assert!(run_to_completion(
+                &mut chunked,
+                &mut SeededRandom::new(23),
+                1_000_000
+            ));
+            let mut whole = Simulator::new(&spec);
+            for &p in chunked.schedule() {
+                let _ = whole.step(p);
+            }
+            assert_eq!(whole.schedule(), chunked.schedule());
+            assert_eq!(whole.checkpoint_count(), 0);
+
+            let clean = chunked.audit_with_threads(&spec, 1);
+            assert!(clean.is_clean(), "{model:?}: {}", clean.divergence.unwrap());
+            assert_eq!(
+                clean.to_json(),
+                whole.audit_with_threads(&spec, 1).to_json(),
+                "{model:?}"
+            );
+
+            // An access in the second chunk, which runs from checkpoint 1 to
+            // checkpoint 2 (checkpoint 0 is the initial state) and is followed
+            // by at least one more chunk.
+            let ckpts = chunked.checkpoints();
+            assert!(ckpts.len() >= 4, "{model:?}: {} checkpoints", ckpts.len());
+            let (open, close) = (&ckpts[1], &ckpts[2]);
+            let steps = (open.schedule_len(), close.schedule_len());
+            let idx = (open.history_len() + 1..close.history_len())
+                .find(|&i| matches!(chunked.history().event(i), Event::Access { .. }))
+                .expect("the chunk holds an access");
+            for sim in [&mut chunked, &mut whole] {
+                if let Some(Event::Access { cost, .. }) = sim.history_mut().events_mut().nth(idx) {
+                    cost.rmr = !cost.rmr;
+                }
+            }
+            let d = chunked
+                .audit_with_threads(&spec, 1)
+                .divergence
+                .expect("tamper caught");
+            assert_eq!((d.field.as_str(), d.event), ("cost.rmr", idx), "{model:?}");
+            assert!(
+                steps.0 <= d.step && d.step < steps.1,
+                "{model:?}: step {} in a middle chunk",
+                d.step
+            );
+            assert_eq!(
+                Some(d),
+                whole.audit_with_threads(&spec, 1).divergence,
+                "{model:?}"
+            );
+        }
     }
 
     #[test]

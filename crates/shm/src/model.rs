@@ -215,19 +215,18 @@ impl CostState {
         self.model
     }
 
-    /// Processes currently holding a valid cached copy of `addr`, in
-    /// ascending ID order. Always empty under DSM (which has no caches).
+    /// The validity words of `addr`'s cell: bit `p % 64` of word `p / 64`
+    /// is set iff process `p` holds a valid cached copy. Empty under DSM
+    /// (which has no caches) and for a cell past the table.
     ///
-    /// Exposed for the differential audit layer, which diffs the fast path's
-    /// cache-validity state against an independent reference after every
-    /// audited access.
-    #[must_use]
-    pub fn holders(&self, addr: Addr) -> Vec<ProcId> {
-        let mut out = Vec::new();
+    /// The differential audit compares its naive sets against these words
+    /// after every audited access, without building a holder list.
+    pub(crate) fn holder_words(&self, addr: Addr) -> &[u64] {
         if self.stride > 0 && (addr.index() + 1) * self.stride <= self.valid.len() {
-            procset::for_each_member(self.cell(addr.index()), |p| out.push(p));
+            self.cell(addr.index())
+        } else {
+            &[]
         }
-        out
     }
 
     /// Appends a canonical word encoding of the pricing state to `out`:
@@ -605,10 +604,11 @@ mod tests {
         let mut st = CostState::new(CostModel::cc_default(), 4, 2);
         st.charge(Q, A, None, &read_applied(0));
         st.charge(P, A, None, &read_applied(0));
-        assert_eq!(st.holders(A), vec![P, Q]);
-        assert_eq!(st.holders(Addr(1)), Vec::<ProcId>::new());
+        assert_eq!(st.holder_words(A), [0b11], "P and Q");
+        assert_eq!(st.holder_words(Addr(1)), [0]);
+        assert!(st.holder_words(Addr(2)).is_empty(), "past the table");
 
         let dsm = CostState::new(CostModel::Dsm, 4, 2);
-        assert!(dsm.holders(A).is_empty(), "DSM has no caches");
+        assert!(dsm.holder_words(A).is_empty(), "DSM has no caches");
     }
 }
