@@ -731,10 +731,19 @@ impl<T> SpillQueue<T> {
         let mut header = [0u8; 4];
         file.seek(SeekFrom::Start(self.rpos)).expect("spill seek");
         file.read_exact(&mut header).expect("spill read");
-        let n = u32::from_le_bytes(header) as usize;
-        let mut entry = vec![0u8; n];
+        let n = u64::from(u32::from_le_bytes(header));
+        // Entries are flushed whole, so an entry that starts in the file
+        // ends in it: a longer claimed length is a damaged header, and must
+        // not size the allocation below.
+        let left = self.file_bytes.saturating_sub(self.rpos + 4);
+        assert!(
+            n <= left,
+            "frontier spill entry at offset {} claims {n} bytes, {left} left in the file",
+            self.rpos
+        );
+        let mut entry = vec![0u8; n as usize];
         file.read_exact(&mut entry).expect("spill read");
-        self.rpos += 4 + n as u64;
+        self.rpos += 4 + n;
         self.cold_len -= 1;
         self.len -= 1;
         Some(Popped::Packed(entry))
@@ -859,6 +868,21 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         let err = RunCursor::new(run).peek().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "frontier spill entry at offset 12 claims 4294967295 bytes, 20 left")]
+    fn spill_queue_rejects_an_entry_longer_than_the_file() {
+        let mut q: SpillQueue<u64> = SpillQueue::new(0);
+        for v in 0..3u64 {
+            q.push(v, |v, out| out.extend_from_slice(&v.to_le_bytes()));
+        }
+        // The first pop lands all three 12-byte entries in the file.
+        assert!(matches!(q.pop(), Some(Popped::Packed(b)) if b == 0u64.to_le_bytes()));
+        let file = q.file.as_ref().expect("spilled");
+        file.write_all_at(&u32::MAX.to_le_bytes(), q.rpos)
+            .expect("overwrite");
+        let _ = q.pop();
     }
 
     #[test]
