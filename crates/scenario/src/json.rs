@@ -149,14 +149,19 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Arrays and objects nested deeper than this are an error. Every document
+/// the workspace reads nests a handful of levels; the cap bounds the
+/// parser's recursion, so no input line can overflow a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry the byte offset and a short
-/// description; trailing non-whitespace after the document is an error.
+/// description; trailing non-whitespace after the document and nesting
+/// deeper than [`MAX_DEPTH`] are errors. The cost is linear in the input.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -168,16 +173,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err("unexpected end of input".into());
     };
+    if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b {
         b'n' => lit(bytes, pos, "null", Value::Null),
         b't' => lit(bytes, pos, "true", Value::Bool(true)),
         b'f' => lit(bytes, pos, "false", Value::Bool(false)),
-        b'"' => Ok(Value::Str(parse_string(bytes, pos)?)),
+        b'"' => Ok(Value::Str(parse_string(text, pos)?)),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -187,7 +197,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -209,13 +219,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -259,7 +269,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     Ok(Value::Num(raw.to_owned()))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -312,11 +323,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Copy one UTF-8 scalar (multi-byte sequences verbatim).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash verbatim.
+                // Both are ASCII, so the run ends on a char boundary, and
+                // `pos` sits on one here: after a quote or an escape.
+                let rest = &text[*pos..];
+                let run = rest
+                    .bytes()
+                    .position(|b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(&rest[..run]);
+                *pos += run;
             }
         }
     }
@@ -366,5 +382,67 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("nul").is_err());
+    }
+
+    /// `n` nested arrays, or `n` nested objects around a number.
+    fn nested(n: usize, objects: bool) -> String {
+        if objects {
+            format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n))
+        } else {
+            "[".repeat(n) + &"]".repeat(n)
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        assert!(parse(&nested(MAX_DEPTH, false)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH, true)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1, false)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        assert!(parse(&nested(MAX_DEPTH + 1, true)).is_err());
+        // A spawned thread's default stack is 2 MiB; uncapped recursion
+        // overflowed it at 10,000 levels and aborted the process.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let arrays = parse(&nested(100_000, false));
+                let objects = parse(&nested(100_000, true));
+                (arrays.is_err(), objects.is_err())
+            })
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow a 2 MiB stack");
+        assert_eq!(deep, (true, true));
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        let s: String = "aé😀\"\\\nz".chars().cycle().take(1 << 20).collect();
+        let v = Value::Str(s);
+        assert_eq!(parse(&v.to_json()), Ok(v));
+    }
+
+    /// Every committed JSON document the workspace reads back: the golden
+    /// canonical rows and the perf ledger.
+    #[test]
+    fn committed_documents_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let golden = root.join("crates/bench/tests/golden");
+        let mut fixtures = 0;
+        for entry in std::fs::read_dir(&golden).expect("golden dir") {
+            let path = entry.expect("golden entry").path();
+            let text = std::fs::read_to_string(&path).expect("read fixture");
+            parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            fixtures += 1;
+        }
+        assert!(fixtures >= 10, "found {fixtures} golden fixtures");
+        let history = std::fs::read_to_string(root.join("BENCH_history.jsonl")).expect("ledger");
+        for (i, line) in history.lines().enumerate() {
+            parse(line).unwrap_or_else(|e| panic!("BENCH_history.jsonl line {}: {e}", i + 1));
+        }
     }
 }
