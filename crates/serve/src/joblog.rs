@@ -193,14 +193,17 @@ impl Event {
     }
 }
 
-/// Appends one event to the log file (creating it if needed) and flushes.
+/// Appends one event to the log file (creating it if needed). The record
+/// and its newline go out in one `write_all` on an append-mode file, so
+/// appends from several threads never split or interleave a line.
 pub fn append(path: &Path, event: &Event) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
+    let mut line = event.to_line();
+    line.push('\n');
+    std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path)?;
-    writeln!(f, "{}", event.to_line())?;
-    f.flush()
+        .open(path)?
+        .write_all(line.as_bytes())
 }
 
 /// Parses every line of a job log. Empty/missing file parses to no events.
@@ -319,5 +322,37 @@ mod tests {
             let back = Event::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line, "round trip differs for {line}");
         }
+    }
+
+    /// Appends from many threads land as whole lines: each record is one
+    /// write, so none is split by another thread's record.
+    #[test]
+    fn concurrent_appends_keep_every_record_whole() {
+        let path = std::env::temp_dir().join(format!(
+            "shm-serve-joblog-{}-concurrent.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let path = &path;
+                s.spawn(move || {
+                    for i in 0..200 {
+                        let event = Event::Rejected {
+                            source: format!("thread-{t}"),
+                            error: ManifestError {
+                                code: "bad_json",
+                                field: String::new(),
+                                message: format!("record {i} of thread {t}"),
+                            },
+                        };
+                        append(path, &event).expect("append");
+                    }
+                });
+            }
+        });
+        let events = read_all(&path).expect("every line parses");
+        std::fs::remove_file(&path).expect("remove the log");
+        assert_eq!(events.len(), 1600);
     }
 }
