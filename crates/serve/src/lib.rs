@@ -4,15 +4,16 @@
 //! manifests (`cc-dsm/manifest/v1`, defined in `shm-scenario`) from a
 //! watched spool directory and line-delimited TCP/Unix sockets, validates
 //! and content-hashes them into job IDs (resubmission is idempotent),
-//! executes them sequentially on the in-process pool at each manifest's
-//! thread count, and streams the canonical row JSON back — byte-identical
+//! answers cached and rejected submissions at once, executes fresh jobs
+//! sequentially on the in-process pool at each manifest's thread count,
+//! and streams the canonical row JSON back — byte-identical
 //! to the corresponding `cc-dsm run --canon` output, at any thread
 //! count. Every accepted manifest and every outcome is appended to a
 //! record/replay job log (`cc-dsm/joblog/v1`); [`replay::replay`]
 //! re-executes the log and asserts the recomputed results hash byte-for-
 //! byte to the recorded completions.
 //!
-//! Module map: [`server`] (ingestion, queueing, execution), [`joblog`]
+//! Module map: [`server`] (ingestion, admission, execution), [`joblog`]
 //! (the event log), [`replay`](mod@replay) (byte-identity verification). The
 //! `cc-dsm serve` subcommands front all three (`run` / `replay` /
 //! `submit`).

@@ -1,7 +1,9 @@
 //! Server round-trip suite: manifests in via spool and socket, canonical
 //! bytes out, byte-identical to the direct library calls at threads 1 and
 //! 4, idempotent on resubmission (including across a server restart), and
-//! reproducible from the job log alone via replay.
+//! reproducible from the job log alone via replay. Cached and rejected
+//! submissions are answered while a job runs; those tests assert on the
+//! order of job-log events, never on timing.
 //!
 //! The pool thread count is process-global, and the server sets it per
 //! job, so every test serializes on one mutex (the same pattern as
@@ -10,11 +12,14 @@
 use bench::{e10_pct_with, e5_messages, e9_explore_with};
 use shm_scenario::canon;
 use shm_scenario::json::{self, Value};
+use shm_scenario::Manifest;
+use shm_serve::joblog::{self, Event};
 use shm_serve::{replay, ServeConfig, Server};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -364,4 +369,190 @@ fn torn_joblog_tail_is_dropped_on_restart_and_replay() {
         .is_err(),
         "restart on a malformed middle line"
     );
+}
+
+/// A fresh job that takes seconds in a debug build (a PCT sweep at 48
+/// waiters).
+const SLOW: &str =
+    r#"{"schema":"cc-dsm/manifest/v1","kind":"e10","sizes":[48],"seed":7,"threads":1}"#;
+const QUICK: &str = r#"{"schema":"cc-dsm/manifest/v1","kind":"e5","n":4}"#;
+const DUPLICATE_SIZE: &str = r#"{"schema":"cc-dsm/manifest/v1","kind":"e2","sizes":[32,32]}"#;
+
+/// A TCP server over `dir` that exits after `max_jobs` submissions.
+fn start_tcp(
+    dir: &Path,
+    max_jobs: u64,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<shm_serve::ServeStats>,
+) {
+    let server = Server::bind(ServeConfig {
+        results_dir: dir.join("results"),
+        joblog: dir.join("JOBLOG.jsonl"),
+        tcp: Some("127.0.0.1:0".into()),
+        max_jobs: Some(max_jobs),
+        idle_exit_ms: Some(60_000),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.tcp_addr().expect("tcp addr");
+    (addr, std::thread::spawn(move || server.run().expect("run")))
+}
+
+fn job_id(manifest: &str) -> String {
+    Manifest::from_json(manifest).expect("valid").job_id()
+}
+
+/// Whether the log holds an event of this kind (`"submitted"` or
+/// `"completed"`) for `job`.
+fn logged(joblog: &Path, event: &str, job: &str) -> bool {
+    joblog::read_all(joblog)
+        .expect("job log parses")
+        .iter()
+        .any(|e| match e {
+            Event::Submitted { job_id, .. } => event == "submitted" && job_id == job,
+            Event::Completed { job_id, .. } => event == "completed" && job_id == job,
+            _ => false,
+        })
+}
+
+#[test]
+fn cached_and_rejected_replies_do_not_wait_for_a_running_job() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("no-hol");
+    let joblog = dir.join("JOBLOG.jsonl");
+    let (addr, server) = start_tcp(&dir, 4);
+    let (h_first, b_first) = submit_tcp(&addr, QUICK);
+    assert_eq!(header_field(&h_first, "cached"), &Value::Bool(false));
+
+    let slow = std::thread::spawn(move || submit_tcp(&addr, SLOW));
+    let slow_id = job_id(SLOW);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !logged(&joblog, "submitted", &slow_id) {
+        assert!(Instant::now() < deadline, "the slow job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (h_cached, b_cached) = submit_tcp(&addr, QUICK);
+    let (h_bad, _) = submit_tcp(&addr, DUPLICATE_SIZE);
+    assert!(
+        !logged(&joblog, "completed", &slow_id),
+        "the cached and rejected replies waited for the running job"
+    );
+    assert_eq!(header_field(&h_cached, "cached"), &Value::Bool(true));
+    assert_eq!(b_cached, b_first);
+    let err = header_field(&h_bad, "error");
+    assert_eq!(header_field(err, "code").as_str(), Some("duplicate_size"));
+
+    let (h_slow, _) = slow.join().expect("slow client");
+    assert_eq!(header_field(&h_slow, "status").as_str(), Some("ok"));
+    let stats = server.join().expect("server thread");
+    shm_pool::set_threads(0);
+    assert_eq!(
+        (stats.completed, stats.deduped, stats.rejected),
+        (2, 1, 1),
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn simultaneous_duplicates_run_once() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("twins");
+    let manifest =
+        r#"{"schema":"cc-dsm/manifest/v1","kind":"e10","sizes":[16],"seed":9,"threads":1}"#;
+    let (addr, server) = start_tcp(&dir, 2);
+    let start = Barrier::new(2);
+    let replies: Vec<(Value, Vec<u8>)> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    submit_tcp(&addr, manifest)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect()
+    });
+    let stats = server.join().expect("server thread");
+    shm_pool::set_threads(0);
+
+    let mut cached: Vec<bool> = replies
+        .iter()
+        .map(|(h, _)| header_field(h, "cached") == &Value::Bool(true))
+        .collect();
+    cached.sort_unstable();
+    assert_eq!(cached, [false, true], "one run and one cached reply");
+    assert_eq!(
+        replies[0].1, replies[1].1,
+        "both replies carry the same bytes"
+    );
+    let completions = joblog::read_all(&dir.join("JOBLOG.jsonl"))
+        .expect("job log parses")
+        .into_iter()
+        .filter(|e| matches!(e, Event::Completed { .. }))
+        .count();
+    assert_eq!(completions, 1);
+    assert_eq!((stats.completed, stats.deduped), (1, 1), "{stats:?}");
+}
+
+#[test]
+fn run_closes_its_listeners_before_returning() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("close");
+    let sock = dir.join("serve.sock");
+    let server = Server::bind(ServeConfig {
+        results_dir: dir.join("results"),
+        joblog: dir.join("JOBLOG.jsonl"),
+        tcp: Some("127.0.0.1:0".into()),
+        unix: Some(sock.clone()),
+        max_jobs: Some(1),
+        idle_exit_ms: Some(60_000),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.tcp_addr().expect("tcp addr");
+    let handle = std::thread::spawn(move || server.run().expect("run"));
+    let mut stream = UnixStream::connect(&sock).expect("connect unix");
+    let (header, _) = shm_serve::submit_stream(&mut stream, DUPLICATE_SIZE).expect("submit");
+    assert!(header.contains("duplicate_size"), "{header}");
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.rejected, 1, "{stats:?}");
+
+    let err = TcpStream::connect(addr).expect_err("the TCP listener outlived run");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    assert!(!sock.exists(), "the Unix socket path outlived run");
+}
+
+#[test]
+fn socket_lines_longer_than_the_cap_are_rejected() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("long-line");
+    let cap = shm_serve::server::MAX_LINE_BYTES;
+    let (addr, server) = start_tcp(&dir, 3);
+    // Padded to exactly the cap, a manifest line is still read whole.
+    let padded = |width: usize| QUICK.to_owned() + &" ".repeat(width - QUICK.len());
+    let (h_fit, _) = submit_tcp(&addr, &padded(cap));
+    assert_eq!(header_field(&h_fit, "status").as_str(), Some("ok"));
+    for long in [padded(cap + 1), "[".repeat(cap * 2)] {
+        let (h_long, body) = submit_tcp(&addr, &long);
+        let err = header_field(&h_long, "error");
+        assert_eq!(header_field(err, "code").as_str(), Some("bad_json"));
+        assert_eq!(
+            header_field(err, "message").as_str(),
+            Some(format!("manifest line longer than {cap} bytes").as_str())
+        );
+        assert!(body.is_empty());
+    }
+    let stats = server.join().expect("server thread");
+    shm_pool::set_threads(0);
+    assert_eq!((stats.completed, stats.rejected), (1, 2), "{stats:?}");
+    let rejected = joblog::read_all(&dir.join("JOBLOG.jsonl"))
+        .expect("job log parses")
+        .into_iter()
+        .filter(|e| matches!(e, Event::Rejected { error, .. } if error.code == "bad_json"))
+        .count();
+    assert_eq!(rejected, 2);
 }

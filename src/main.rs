@@ -29,10 +29,11 @@
 //!   front end writes.
 //! - `serve` is the deterministic batch job server ([`shm_serve`]): `run`
 //!   serves manifests from a spool directory and sockets (with `--tcp` the
-//!   bound address is printed as `listening tcp HOST:PORT`; `--history`
-//!   appends the per-kind walls to the ledger), `replay` re-executes a job
-//!   log and asserts byte-identical results, `submit` sends one manifest
-//!   over a socket.
+//!   bound address is printed as `listening tcp HOST:PORT`; `--poll-ms` is
+//!   the spool-scan cadence, default 20, and sockets never wait on it;
+//!   `--history` appends the per-kind walls to the ledger), `replay`
+//!   re-executes a job log and asserts byte-identical results, `submit`
+//!   sends one manifest over a socket.
 //! - `diff` compares the latest ledger record against the per-metric
 //!   median of the previous runs (`--strict` fails on a regression).
 //!
