@@ -74,7 +74,8 @@ impl Event {
                 source,
                 manifest,
             } => format!(
-                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"submitted\",\"job_id\":\"{job_id}\",\"source\":\"{}\",\"manifest\":{}}}",
+                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"submitted\",\"job_id\":\"{}\",\"source\":\"{}\",\"manifest\":{}}}",
+                json::escape(job_id),
                 json::escape(source),
                 manifest.canonical_json(),
             ),
@@ -85,10 +86,13 @@ impl Event {
                 rows,
                 wall_ms,
             } => format!(
-                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"completed\",\"job_id\":\"{job_id}\",\"result_sha\":\"{result_sha}\",\"result_bytes\":{result_bytes},\"rows\":{rows},\"wall_ms\":{wall_ms:.3}}}",
+                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"completed\",\"job_id\":\"{}\",\"result_sha\":\"{}\",\"result_bytes\":{result_bytes},\"rows\":{rows},\"wall_ms\":{wall_ms:.3}}}",
+                json::escape(job_id),
+                json::escape(result_sha),
             ),
             Event::Failed { job_id, error } => format!(
-                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"failed\",\"job_id\":\"{job_id}\",\"error\":\"{}\"}}",
+                "{{\"schema\":\"{JOBLOG_SCHEMA}\",\"event\":\"failed\",\"job_id\":\"{}\",\"error\":\"{}\"}}",
+                json::escape(job_id),
                 json::escape(error),
             ),
             Event::Rejected { source, error } => format!(
@@ -139,6 +143,7 @@ impl Event {
                 wall_ms: v
                     .get("wall_ms")
                     .and_then(Value::as_f64)
+                    .filter(|ms| ms.is_finite())
                     .ok_or_else(|| format!("completed line missing wall_ms: {line:?}"))?,
             }),
             "failed" => Ok(Event::Failed {
