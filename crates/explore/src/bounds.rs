@@ -22,9 +22,6 @@ pub struct Bounds {
     /// away from a process that is still runnable), CHESS-style. `None` =
     /// unbounded.
     pub max_preemptions: Option<usize>,
-    /// Safety valve: stop after this many explored states, marking the
-    /// report non-exhaustive. `None` = unbounded.
-    pub max_states: Option<u64>,
     /// Deduplicate states on [`shm_sim::Simulator::state_fingerprint`]
     /// (keyed together with the sleep set and, when preemption bounding is
     /// active, the remaining budget — so dedup never prunes a state whose
@@ -32,15 +29,6 @@ pub struct Bounds {
     pub dedup: bool,
     /// Sleep-set partial-order reduction.
     pub dpor: bool,
-    /// Target frontier size for the parallel fan-out: the serial expansion
-    /// phase stops once this many open nodes exist, and the rest of the
-    /// space is explored as one pool job per frontier node. Thread-count
-    /// independent (the frontier is fixed before any job runs); `0` or `1`
-    /// forces a purely serial exploration.
-    pub frontier: usize,
-    /// Keep at most this many violation records (all violations are still
-    /// *counted*; this only caps the retained schedules).
-    pub keep_violations: usize,
     /// Byte budget for exploration memory: the visited hot tier and the
     /// resident frontier ring together stay under (a logical accounting of)
     /// this many bytes, spilling delta-compressed runs / packed nodes to
@@ -51,18 +39,14 @@ pub struct Bounds {
 }
 
 impl Bounds {
-    /// Full exploration: no depth/preemption/state limits, both reductions
-    /// on, default frontier.
+    /// Full exploration: no depth or preemption limits, both reductions on.
     #[must_use]
     pub fn exhaustive() -> Self {
         Bounds {
             max_depth: None,
             max_preemptions: None,
-            max_states: None,
             dedup: true,
             dpor: true,
-            frontier: 64,
-            keep_violations: 16,
             mem_budget: None,
         }
     }

@@ -4,12 +4,10 @@
 
 use crate::bounds::Bounds;
 use crate::counterexample::{replay, shrink_schedule, Counterexample};
-use crate::explorer::{explore_carry, ExploreReport, ObjectiveResult};
+use crate::explorer::{explore_labelled, ExploreReport, FoundViolation};
 use crate::oracle::{Oracle, PollingSpecOracle, ProcRmrs};
-use crate::store::CarryBase;
-use shm_sim::{model_tag, CostModel, ProcId, SimSpec};
+use shm_sim::{model_tag, CostModel, ProcId, SimSpec, Simulator};
 use signaling::{Role, Scenario, SignalingAlgorithm};
-use std::sync::Arc;
 
 /// A signaling scenario suitable for exhaustive exploration: `waiters`
 /// give-up waiters (processes `0..waiters`, each polling at most
@@ -65,6 +63,52 @@ impl ScenarioSpec<'_> {
         }
         .build()
     }
+
+    /// The `algorithm/model/n=` label of this scenario's progress frames.
+    pub(crate) fn label(&self) -> String {
+        format!(
+            "{}/{}/n={}",
+            self.algorithm.name(),
+            model_tag(self.model),
+            self.n()
+        )
+    }
+
+    /// Packages violation `v` of `spec` (this scenario, built) as a
+    /// counterexample: shrinks its schedule by greedy step-deletion,
+    /// preserving `oracle`'s verdict *and* the contract classification,
+    /// then re-validates the shrunk replay through the differential RMR
+    /// audit. `max_depth` and `max_preemptions` record the bounds `v` was
+    /// found under. Replay is a pure function of `(spec, schedule)`, so
+    /// the serialized counterexample alone reproduces the violating state.
+    pub(crate) fn counterexample(
+        &self,
+        spec: &SimSpec,
+        oracle: &dyn Oracle,
+        v: &FoundViolation,
+        max_depth: Option<usize>,
+        max_preemptions: Option<usize>,
+    ) -> Counterexample {
+        let keep = |sim: &Simulator| {
+            oracle.check(sim).is_err() && oracle.in_contract(sim) == v.in_contract
+        };
+        let schedule = shrink_schedule(spec, &v.schedule, keep);
+        let audit_clean = replay(spec, &schedule).audit(spec).is_clean();
+        Counterexample {
+            algorithm: self.algorithm.name().to_owned(),
+            oracle: v.oracle.to_owned(),
+            description: v.description.clone(),
+            in_contract: v.in_contract,
+            model: model_tag(self.model),
+            n: self.n(),
+            seed: self.seed,
+            schedule,
+            shrunk_from: v.schedule.len(),
+            max_depth,
+            max_preemptions,
+            audit_clean,
+        }
+    }
 }
 
 /// The result of [`check`]: the raw exploration report plus the contract
@@ -107,127 +151,27 @@ impl CheckOutcome {
 /// over terminal states. Deterministic at any thread count.
 #[must_use]
 pub fn check(scenario: &ScenarioSpec<'_>, bounds: &Bounds) -> CheckOutcome {
-    check_carry(scenario, bounds, None, false).0
-}
-
-/// [`check`] plus cross-bound visited-store carry (see
-/// [`crate::explorer::explore_carry`]): dedup hits against `base` prune as
-/// reuse, and `collect` asks for the union store back for the next bound.
-fn check_carry(
-    scenario: &ScenarioSpec<'_>,
-    bounds: &Bounds,
-    base: Option<&Arc<CarryBase>>,
-    collect: bool,
-) -> (CheckOutcome, Option<Arc<CarryBase>>) {
     let spec = scenario.build();
     let oracle = PollingSpecOracle {
         max_concurrent_waiters: scenario.algorithm.max_concurrent_waiters(),
     };
     let objective = ProcRmrs(scenario.signaler());
-    let label = format!(
-        "{}/{}/n={}",
-        scenario.algorithm.name(),
-        model_tag(scenario.model),
-        scenario.n()
-    );
-    let (report, carry) = explore_carry(
+    let report = explore_labelled(
         &spec,
         &[&oracle],
         Some(&objective),
         bounds,
-        base,
-        collect,
-        &label,
+        &scenario.label(),
     );
     let counterexample = report.violations.first().map(|v| {
-        let want_in_contract = v.in_contract;
-        let keep = |sim: &shm_sim::Simulator| {
-            oracle.check(sim).is_err() && oracle.in_contract(sim) == want_in_contract
-        };
-        let schedule = shrink_schedule(&spec, &v.schedule, keep);
-        let audit_clean = replay(&spec, &schedule).audit(&spec).is_clean();
-        Counterexample {
-            algorithm: scenario.algorithm.name().to_owned(),
-            oracle: v.oracle.to_owned(),
-            description: v.description.clone(),
-            in_contract: v.in_contract,
-            model: model_tag(scenario.model),
-            n: scenario.n(),
-            seed: scenario.seed,
-            schedule,
-            shrunk_from: v.schedule.len(),
-            max_depth: bounds.max_depth,
-            max_preemptions: bounds.max_preemptions,
-            audit_clean,
-        }
+        scenario.counterexample(&spec, &oracle, v, bounds.max_depth, bounds.max_preemptions)
     });
-    (
-        CheckOutcome {
-            in_contract_violations: report.violations_in_contract,
-            out_of_contract_violations: report.out_of_contract_violations(),
-            counterexample,
-            report,
-        },
-        carry,
-    )
-}
-
-/// CHESS-style iterative deepening over the preemption bound: runs [`check`]
-/// with `max_preemptions = 0, 1, …, cap` (keeping the other fields of
-/// `bounds`), stopping early as soon as a run finds any violation. Returns
-/// the outcomes in order; the last one is either the first violating bound
-/// or the `cap` run. Violations surface at the *smallest* preemption budget
-/// that can produce them — the CHESS observation that most bugs need very
-/// few preemptions.
-///
-/// The visited store **carries across bounds**: the dedup key's bound word
-/// encodes the remaining preemption budget, so a key visited at an earlier
-/// bound certifies its whole remaining-budget subtree was already explored
-/// and judged — bound `p` skips it, counting the hit in
-/// [`ExploreReport::reused`]. Per-bound reports therefore count the *new*
-/// exploration each budget adds (and a carried subtree's violations were
-/// judged at the earlier, clean bound), while
-/// [`ExploreReport::max_objective`] is folded forward so every outcome
-/// reports the running maximum over all budgets up to and including its
-/// own — identical to what un-carried runs would report. Carry is skipped
-/// after a state-capped run ([`ExploreReport::state_capped`]), whose keys
-/// may front unexplored subtrees.
-#[must_use]
-pub fn check_iterative(
-    scenario: &ScenarioSpec<'_>,
-    bounds: &Bounds,
-    cap: usize,
-) -> Vec<CheckOutcome> {
-    let mut outcomes = Vec::new();
-    let mut base: Option<Arc<CarryBase>> = None;
-    let mut best: Option<ObjectiveResult> = None;
-    for p in 0..=cap {
-        let b = Bounds {
-            max_preemptions: Some(p),
-            ..*bounds
-        };
-        let (mut out, next) = check_carry(scenario, &b, base.as_ref(), p < cap);
-        base = next;
-        // Fold the running argmax forward (strict >: the earliest bound
-        // reaching a value keeps its schedule).
-        if let Some(prev) = &best {
-            let keep_prev = out
-                .report
-                .max_objective
-                .as_ref()
-                .is_none_or(|m| m.value <= prev.value);
-            if keep_prev {
-                out.report.max_objective = Some(prev.clone());
-            }
-        }
-        best.clone_from(&out.report.max_objective);
-        let found = out.report.violations_found > 0;
-        outcomes.push(out);
-        if found {
-            break;
-        }
+    CheckOutcome {
+        in_contract_violations: report.violations_in_contract,
+        out_of_contract_violations: report.out_of_contract_violations(),
+        counterexample,
+        report,
     }
-    outcomes
 }
 
 #[cfg(test)]
@@ -264,57 +208,5 @@ mod tests {
         );
         assert!(out.report.exhaustive);
         assert!(out.is_clean(), "{:?}", out.report.violations);
-    }
-
-    #[test]
-    fn iterative_preemption_bounding_covers_budgets_in_order() {
-        let outs = check_iterative(
-            &scenario(&Broadcast, CostModel::Dsm),
-            &Bounds::exhaustive(),
-            2,
-        );
-        assert_eq!(outs.len(), 3, "clean algorithm runs every budget");
-        assert!(outs.iter().all(CheckOutcome::is_clean));
-        // With cross-bound carry each report counts the *new* exploration
-        // its budget adds; the folded argmax must match a from-scratch run
-        // at the same (final) budget.
-        let plain = check(
-            &scenario(&Broadcast, CostModel::Dsm),
-            &Bounds {
-                max_preemptions: Some(2),
-                ..Bounds::exhaustive()
-            },
-        );
-        assert_eq!(
-            outs[2].max_signaler_rmrs(),
-            plain.max_signaler_rmrs(),
-            "folded objective equals the un-carried run's"
-        );
-        assert_eq!(outs[0].report.reused, 0, "no base at the first budget");
-        assert!(
-            outs[1].report.reused + outs[2].report.reused > 0,
-            "later budgets reuse prior-bound subtrees: {:?}",
-            outs.iter().map(|o| o.report.reused).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn iterative_carry_reports_are_memory_budget_invariant() {
-        // Spilling moves keys between tiers but never changes answers: the
-        // per-bound counts must be identical with a tiny forcing budget.
-        let run = |mem: Option<usize>| {
-            let b = Bounds {
-                mem_budget: mem,
-                ..Bounds::exhaustive()
-            };
-            check_iterative(&scenario(&Broadcast, CostModel::Dsm), &b, 2)
-                .iter()
-                .map(|o| {
-                    let r = &o.report;
-                    (r.explored, r.deduped, r.terminals, r.reused)
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(None), run(Some(8 * 1024)));
     }
 }

@@ -6,12 +6,20 @@ use crate::bounds::Bounds;
 use crate::counterexample::replay;
 use crate::oracle::{Objective, Oracle};
 use crate::spill::{self, Corrupt, Key};
-use crate::store::{
-    frontier_hot_cap, CarryBase, CarryBuilder, Lookup, Popped, SpillQueue, VisitedStore,
-};
+use crate::store::{frontier_hot_cap, Lookup, Popped, SpillQueue, VisitedStore};
 use shm_pool::map_indexed;
 use shm_sim::{CallRecord, Checkpoint, Op, ProcId, SimSpec, Simulator, TransitionPeek};
-use std::sync::Arc;
+
+/// Target frontier size for the parallel fan-out: the serial breadth-first
+/// phase stops once this many open nodes exist, and the rest of the space
+/// is explored as one pool job per frontier node. Thread-count independent
+/// (the frontier is fixed before any job runs).
+const FRONTIER: usize = 64;
+
+/// Cap on retained violation records, shared with
+/// [`crate::RandomReport::KEEP_VIOLATIONS`]: every violation is still
+/// *counted*; this only caps the retained schedules.
+pub(crate) const KEEP_VIOLATIONS: usize = 16;
 
 /// One violation found during exploration.
 #[derive(Clone, Debug)]
@@ -68,27 +76,19 @@ pub struct ExploreReport {
     /// violations" claims are exact.
     pub violations_in_contract: u64,
     /// Retained violation records, in deterministic exploration order
-    /// (capped at [`Bounds::keep_violations`]).
+    /// (at most [`RandomReport::KEEP_VIOLATIONS`]).
+    ///
+    /// [`RandomReport::KEEP_VIOLATIONS`]: crate::RandomReport::KEEP_VIOLATIONS
     pub violations: Vec<FoundViolation>,
     /// Maximum objective value over terminal states, with its schedule.
     pub max_objective: Option<ObjectiveResult>,
     /// Number of frontier nodes handed to the pool (0 = the serial phase
     /// covered the whole space).
     pub frontier: usize,
-    /// `true` iff no bound (depth, preemptions, or state cap) cut any
-    /// branch: the report covers the entire schedule space and a clean
-    /// verdict is a proof at this scenario size, not an under-approximation.
+    /// `true` iff no bound (depth or preemptions) cut any branch: the
+    /// report covers the entire schedule space and a clean verdict is a
+    /// proof at this scenario size, not an under-approximation.
     pub exhaustive: bool,
-    /// `true` iff [`Bounds::max_states`] specifically stopped the run
-    /// (implies `!exhaustive`). Gates cross-bound carry: a capped run's
-    /// visited keys may front unexplored subtrees, so they are never
-    /// carried forward.
-    pub state_capped: bool,
-    /// Child states pruned because a *previous* iterative-deepening bound
-    /// already explored them (dedup hits answered by the carried base; a
-    /// subset of [`ExploreReport::deduped`]). Always 0 outside
-    /// [`crate::check_iterative`].
-    pub reused: u64,
     /// Peak number of nodes ever queued in the breadth-first frontier
     /// (hot + spilled). A logical count — identical at any `mem_budget`
     /// and thread count.
@@ -188,10 +188,8 @@ struct Node {
 // order-witness context) lives in `crate::spill`; two histories may only
 // merge when every past fact that can sway a future verdict agrees. When
 // preemption bounding is active the bound word carries the last-scheduled
-// pid and the *remaining* preemption budget — within one run a bijection of
-// the used count (so dedup behavior is unchanged), and across
-// iterative-deepening runs the form that makes carried keys sound: equal
-// remaining budget ⇒ equal explorable continuations.
+// pid and the *remaining* preemption budget: equal remaining budget ⇒ equal
+// explorable continuations.
 
 /// Where the claim pass left the simulator relative to the node it expanded.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -208,12 +206,11 @@ struct Walker<'a> {
     oracles: &'a [&'a dyn Oracle],
     objective: Option<&'a dyn Objective>,
     bounds: &'a Bounds,
-    /// The two-tier visited set (hot table + spilled cold runs + optional
-    /// carried base). The debug exact-state collision cross-check lives
-    /// inside the store, preserved across tiers.
+    /// The two-tier visited set (hot table + spilled cold runs). The debug
+    /// exact-state collision cross-check lives inside the store, preserved
+    /// across tiers.
     visited: VisitedStore,
     rep: ExploreReport,
-    stopped: bool,
     /// Reusable call-record buffer: every judged state reconstructs the
     /// history's calls exactly once, shared between the oracle checks and
     /// the dedup contexts.
@@ -248,25 +245,18 @@ impl<'a> Walker<'a> {
         oracles: &'a [&'a dyn Oracle],
         objective: Option<&'a dyn Objective>,
         bounds: &'a Bounds,
-        base: Option<Arc<CarryBase>>,
         label: &str,
     ) -> Self {
         Walker {
             oracles,
             objective,
             bounds,
-            visited: VisitedStore::new(bounds.mem_budget, base),
+            visited: VisitedStore::new(bounds.mem_budget, None),
             rep: ExploreReport {
                 exhaustive: true,
                 ..ExploreReport::default()
             },
-            stopped: false,
-            meter: shm_obs::progress::Meter::new(
-                "explore",
-                label,
-                PROGRESS_EVERY_STATES,
-                bounds.max_states,
-            ),
+            meter: shm_obs::progress::Meter::new("explore", label, PROGRESS_EVERY_STATES, None),
             calls_buf: Vec::new(),
             open_buf: Vec::new(),
             node_calls: Vec::new(),
@@ -286,10 +276,8 @@ impl<'a> Walker<'a> {
         calls: &[CallRecord],
     ) -> Key {
         // The bound word encodes the *remaining* budget, not the used
-        // count: within a run the two are bijective (identical dedup), but
-        // only the remaining form is comparable across iterative-deepening
-        // runs — a carried key with remaining budget r certifies the whole
-        // r-budget subtree was explored, whatever cap produced it.
+        // count; within a run the two are bijective, so dedup is the same
+        // either way.
         let aux = if let Some(cap) = self.bounds.max_preemptions {
             (u64::from(last.0) + 1) << 32 | (cap as u64 - u64::from(preempts))
         } else {
@@ -306,14 +294,12 @@ impl<'a> Walker<'a> {
     }
 
     /// Marks `key` visited; returns `false` (and counts a dedup hit) when it
-    /// already was — in any tier. Hits answered by a carried previous-bound
-    /// base additionally count as reuse.
+    /// already was — in any tier.
     fn visit(&mut self, key: Key, sim: &Simulator) -> bool {
         match self.visited.insert(key, || sim.state_words()) {
             Lookup::New => true,
-            tier => {
+            Lookup::Hot | Lookup::Cold => {
                 self.rep.deduped += 1;
-                self.rep.reused += u64::from(tier == Lookup::Base);
                 shm_obs::counter!("explore.dedup");
                 false
             }
@@ -321,12 +307,13 @@ impl<'a> Walker<'a> {
     }
 
     /// Extracts the report, folding in the visited store's memory
-    /// trajectory, and hands back the store (for cross-bound carry).
-    fn into_parts(self) -> (ExploreReport, VisitedStore) {
+    /// trajectory. The store drops here, so a pool job frees its walker's
+    /// keys (and removes its spill files) before the fan-out ends.
+    fn into_report(self) -> ExploreReport {
         let mut rep = self.rep;
         rep.spilled_bytes += self.visited.spilled_bytes();
         rep.peak_visited_bytes = self.visited.peak_bytes();
-        (rep, self.visited)
+        rep
     }
 
     /// Expands one node *in place*: counts it, measures terminals, and
@@ -338,7 +325,7 @@ impl<'a> Walker<'a> {
     /// descend into, and whether `sim` was left sitting at the *last*
     /// surviving child's state (the chain fast path: a single-child node
     /// descends without a restore or a re-step); `None` when the node is
-    /// terminal or the state cap was hit.
+    /// terminal.
     ///
     /// Claiming *all* siblings before any descent keeps the visited-set
     /// insertion order — and with it every dedup, sleep, and bound count —
@@ -362,18 +349,9 @@ impl<'a> Walker<'a> {
                 ("visited_bytes", self.visited.peak_bytes()),
                 ("spilled_bytes", self.visited.spilled_bytes()),
                 ("deduped", self.rep.deduped),
-                ("reused", self.rep.reused),
                 ("terminals", self.rep.terminals),
             ];
             self.meter.as_mut().expect("just ticked").emit(&fields);
-        }
-        if let Some(cap) = self.bounds.max_states {
-            if self.rep.explored > cap {
-                self.rep.exhaustive = false;
-                self.rep.state_capped = true;
-                self.stopped = true;
-                return None;
-            }
         }
         if classes.is_empty() {
             self.rep.terminals += 1;
@@ -478,7 +456,7 @@ impl<'a> Walker<'a> {
                 self.rep.violations_found += 1;
                 self.rep.violations_in_contract += u64::from(v.in_contract);
                 shm_obs::counter!("explore.violations");
-                if self.rep.violations.len() < self.bounds.keep_violations {
+                if self.rep.violations.len() < KEEP_VIOLATIONS {
                     self.rep.violations.push(v);
                 }
                 done |= 1 << pid.0;
@@ -530,9 +508,6 @@ impl<'a> Walker<'a> {
         preempts: u32,
         classes: Vec<(ProcId, Class)>,
     ) {
-        if self.stopped {
-            return;
-        }
         let Some((ckpt, children, at)) = self.expand(sim, sleep, preempts, &classes) else {
             self.class_pool.push(classes);
             return;
@@ -548,9 +523,6 @@ impl<'a> Walker<'a> {
         }
         let mut at_node = at == SimAt::Node;
         for (pid, child_sleep, child_preempts) in children {
-            if self.stopped {
-                return;
-            }
             if !at_node {
                 sim.restore(&ckpt);
             }
@@ -605,7 +577,7 @@ fn full_classes(sim: &Simulator) -> Vec<(ProcId, Class)> {
 }
 
 /// Merges sub-reports in submission-index order.
-fn merge(into: &mut ExploreReport, part: ExploreReport, keep_violations: usize) {
+fn merge(into: &mut ExploreReport, part: ExploreReport) {
     into.explored += part.explored;
     into.deduped += part.deduped;
     into.sleep_pruned += part.sleep_pruned;
@@ -614,13 +586,11 @@ fn merge(into: &mut ExploreReport, part: ExploreReport, keep_violations: usize) 
     into.violations_found += part.violations_found;
     into.violations_in_contract += part.violations_in_contract;
     into.exhaustive &= part.exhaustive;
-    into.state_capped |= part.state_capped;
-    into.reused += part.reused;
     into.spilled_bytes += part.spilled_bytes;
     into.peak_visited_bytes += part.peak_visited_bytes;
     into.peak_frontier = into.peak_frontier.max(part.peak_frontier);
     for v in part.violations {
-        if into.violations.len() < keep_violations {
+        if into.violations.len() < KEEP_VIOLATIONS {
             into.violations.push(v);
         }
     }
@@ -637,12 +607,16 @@ fn merge(into: &mut ExploreReport, part: ExploreReport, keep_violations: usize) 
 /// Explores the schedule space of `spec` under `bounds`, checking `oracles`
 /// on every reached state and maximizing `objective` over terminal states.
 ///
-/// A serial breadth-first phase expands the root until [`Bounds::frontier`]
-/// open nodes exist (or the space is exhausted); the frontier then fans out
-/// across [`shm_pool`] workers, one job per node, and the sub-reports merge
-/// by submission index — so every count, verdict, and retained schedule is
+/// A serial breadth-first phase expands the root until 64 open nodes exist
+/// (or the space is exhausted); the frontier then fans out across
+/// [`shm_pool`] workers, one job per node, and the sub-reports merge by
+/// submission index — so every count, verdict, and retained schedule is
 /// byte-identical at any thread count (`threads = 1` runs the identical
 /// two-phase structure serially).
+///
+/// # Panics
+///
+/// If `spec` has more than 64 processes: sleep sets are `u64` pid masks.
 #[must_use]
 pub fn explore(
     spec: &SimSpec,
@@ -650,7 +624,7 @@ pub fn explore(
     objective: Option<&dyn Objective>,
     bounds: &Bounds,
 ) -> ExploreReport {
-    explore_carry(spec, oracles, objective, bounds, None, false, "").0
+    explore_labelled(spec, oracles, objective, bounds, "")
 }
 
 /// Packs a frontier node for the spill queue: the schedule (which replays
@@ -708,37 +682,36 @@ fn materialize(spec: &SimSpec, popped: Popped<Node>) -> Result<Node, Corrupt> {
     }
 }
 
-/// [`explore`] plus cross-bound carry: `base` is the visited-key set of a
-/// previous iterative-deepening bound (hits against it prune as reuse), and
-/// when `collect` is set the returned [`CarryBase`] unions `base` with
-/// everything this run visited — unless the run was state-capped, in which
-/// case the input base passes through unchanged (a capped run's keys may
-/// front unexplored subtrees; carrying them would be unsound).
-pub(crate) fn explore_carry(
+/// [`explore`] with `label` naming the run in its progress frames.
+pub(crate) fn explore_labelled(
     spec: &SimSpec,
     oracles: &[&dyn Oracle],
     objective: Option<&dyn Objective>,
     bounds: &Bounds,
-    base: Option<&Arc<CarryBase>>,
-    collect: bool,
     label: &str,
-) -> (ExploreReport, Option<Arc<CarryBase>>) {
+) -> ExploreReport {
+    let n = spec.sources.len();
+    // Sleep sets, the per-node `done` mask and the polling oracle's dedup
+    // context are `u64` masks indexed by pid: pid 64 would alias pid 0.
+    assert!(
+        n <= 64,
+        "explore tracks processes in u64 masks: n = {n} exceeds 64"
+    );
     let _span = shm_obs::Span::enter("explore.run");
     // The run meter exists only for the final summary frame (periodic
     // frames come from the per-walker meters); created first so its wall
     // clock covers the whole run.
     let mut run_meter =
-        shm_obs::progress::Meter::new("explore", label, PROGRESS_EVERY_STATES, bounds.max_states);
-    let target = bounds.frontier.max(1);
+        shm_obs::progress::Meter::new("explore", label, PROGRESS_EVERY_STATES, None);
     let root = Node {
         sim: Simulator::new(spec),
         sleep: 0,
         preempts: 0,
     };
-    let mut phase1 = Walker::new(oracles, objective, bounds, base.cloned(), label);
+    let mut phase1 = Walker::new(oracles, objective, bounds, label);
     let mut queue: SpillQueue<Node> = SpillQueue::new(frontier_hot_cap(bounds.mem_budget));
     queue.push(root, pack_node);
-    while queue.len() < target && !phase1.stopped {
+    while queue.len() < FRONTIER {
         let Some(popped) = queue.pop() else {
             break;
         };
@@ -755,7 +728,7 @@ pub(crate) fn explore_carry(
         for (pid, sleep, preempts) in children {
             // The breadth-first frontier needs materialized child states:
             // re-step the claimed child and clone it off before rolling
-            // back. This phase touches at most `frontier` nodes (and the
+            // back. This phase touches at most `FRONTIER` nodes (and the
             // queue spills the excess beyond the hot ring).
             let _ = node.sim.step(pid);
             let sim = node.sim.clone();
@@ -771,21 +744,18 @@ pub(crate) fn explore_carry(
         }
         phase1.ckpt_pool.push(ckpt);
     }
-    let stopped = phase1.stopped;
-    let (mut report, phase1_store) = phase1.into_parts();
+    let mut report = phase1.into_report();
     report.frontier = queue.len();
     report.peak_frontier = queue.peak_len() as u64;
     report.spilled_bytes += queue.spilled_bytes();
-    let mut stores = vec![phase1_store];
-    if !queue.is_empty() && !stopped {
+    if !queue.is_empty() {
         let mut jobs: Vec<Popped<Node>> = Vec::new();
         while let Some(popped) = queue.pop() {
             jobs.push(popped);
         }
-        let carry_base = base.cloned();
         let parts = map_indexed(shm_pool::threads(), jobs, |_, popped| {
             let _span = shm_obs::Span::enter("explore.subtree");
-            let mut w = Walker::new(oracles, objective, bounds, carry_base.clone(), label);
+            let mut w = Walker::new(oracles, objective, bounds, label);
             let Node {
                 mut sim,
                 sleep,
@@ -793,13 +763,10 @@ pub(crate) fn explore_carry(
             } = materialize(spec, popped).expect("frontier spill entry decodes");
             let classes = full_classes(&sim);
             w.dfs(&mut sim, sleep, preempts, classes);
-            w.into_parts()
+            w.into_report()
         });
-        for (part, store) in parts {
-            merge(&mut report, part, bounds.keep_violations);
-            if collect {
-                stores.push(store);
-            }
+        for part in parts {
+            merge(&mut report, part);
         }
     }
     drop(queue);
@@ -812,7 +779,6 @@ pub(crate) fn explore_carry(
             ("explored", report.explored),
             ("terminals", report.terminals),
             ("deduped", report.deduped),
-            ("reused", report.reused),
             ("violations", report.violations_found),
             ("frontier", report.frontier as u64),
             ("peak_frontier", report.peak_frontier),
@@ -820,21 +786,7 @@ pub(crate) fn explore_carry(
             ("spilled_bytes", report.spilled_bytes),
         ]);
     }
-    let carry = if !collect {
-        None
-    } else if report.state_capped {
-        base.cloned()
-    } else {
-        let mut builder = CarryBuilder::new();
-        if let Some(b) = base {
-            builder.absorb_base(b);
-        }
-        for store in stores {
-            builder.absorb_store(store);
-        }
-        Some(Arc::new(builder.build()))
-    };
-    (report, carry)
+    report
 }
 
 #[cfg(test)]
@@ -931,6 +883,12 @@ mod tests {
         // scheduled: 3! = 6 complete orders.
         assert_eq!(rep.terminals, 6, "{rep:?}");
         assert!(!rep.exhaustive);
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 65 exceeds 64")]
+    fn explore_rejects_more_processes_than_its_masks_hold() {
+        let _ = explore(&disjoint_writers(65), &[], None, &Bounds::exhaustive());
     }
 
     #[test]

@@ -37,13 +37,10 @@
 //!   order fact that can sway a future verdict agrees. Merging is exact up
 //!   to hash collision; debug builds keep the full
 //!   [`shm_sim::Simulator::state_words`] encoding and assert every hit.
-//! * **Iterative preemption bounding + depth limits** ([`Bounds`]): beyond
-//!   the exhaustive regime, exploration degrades gracefully into a CHESS-
-//!   style bounded search. Bounded runs are *under-approximations*: a clean
+//! * **Preemption bounding + depth limits** ([`Bounds`]): beyond the
+//!   exhaustive regime, exploration degrades gracefully into a CHESS-style
+//!   bounded search. Bounded runs are *under-approximations*: a clean
 //!   verdict means no violation within the bound, not absence of one.
-//!   [`check_iterative`] carries the visited store across bounds (the dedup
-//!   key's bound word encodes the *remaining* preemption budget), so each
-//!   budget only explores what the previous one could not reach.
 //! * **Disk-backed memory bounding** ([`Bounds::mem_budget`], [`store`],
 //!   [`spill`]): the visited set and the breadth-first frontier live in a
 //!   bounded hot tier backed by sorted, delta-compressed runs (and packed
@@ -76,7 +73,7 @@ pub mod spill;
 pub mod store;
 
 pub use bounds::Bounds;
-pub use check::{check, check_iterative, CheckOutcome, ScenarioSpec};
+pub use check::{check, CheckOutcome, ScenarioSpec};
 pub use counterexample::{replay, shrink_schedule, Counterexample};
 pub use explorer::{explore, ExploreReport, FoundViolation, ObjectiveResult};
 pub use oracle::{

@@ -22,13 +22,13 @@
 //! results merge in submission-index order: reports are byte-identical at
 //! any thread count.
 
-use crate::check::{CheckOutcome, ScenarioSpec};
-use crate::counterexample::{replay, shrink_schedule, Counterexample};
-use crate::explorer::{ExploreReport, FoundViolation, ObjectiveResult};
+use crate::check::ScenarioSpec;
+use crate::counterexample::Counterexample;
+use crate::explorer::{self, FoundViolation, ObjectiveResult};
 use crate::oracle::{Objective, Oracle, PollingSpecOracle, ProcRmrs};
 use crate::store::VisitedStore;
 use shm_sim::rng::mix64;
-use shm_sim::{model_tag, PctScheduler, ProcId, SeededRandom, SimSpec, Simulator};
+use shm_sim::{PctScheduler, ProcId, SeededRandom, SimSpec, Simulator};
 
 /// Parameters of a randomized ([`check_random`]) exploration.
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +91,7 @@ pub fn schedule_seed(base: u64, i: u64) -> u64 {
 }
 
 /// Statistics of one randomized exploration, alongside the violation and
-/// objective fields shared with [`ExploreReport`].
+/// objective fields shared with [`crate::ExploreReport`].
 #[derive(Clone, Debug, Default)]
 pub struct RandomReport {
     /// Schedules sampled (always `RandomBounds::schedules`).
@@ -124,33 +124,14 @@ pub struct RandomReport {
 }
 
 impl RandomReport {
-    /// Cap on retained violation records (matching
-    /// [`crate::Bounds::exhaustive`]'s default).
-    pub const KEEP_VIOLATIONS: usize = 16;
+    /// Cap on retained violation records (the exhaustive explorer's cap
+    /// too).
+    pub const KEEP_VIOLATIONS: usize = explorer::KEEP_VIOLATIONS;
 
     /// Violations found outside the participation contract.
     #[must_use]
     pub fn out_of_contract_violations(&self) -> u64 {
         self.violations_found - self.violations_in_contract
-    }
-
-    /// Views the randomized run as an [`ExploreReport`] (never exhaustive;
-    /// sampling-specific counters have no equivalent and are dropped) so
-    /// report consumers can share code with the exhaustive checker.
-    #[must_use]
-    pub fn as_explore_report(&self) -> ExploreReport {
-        ExploreReport {
-            explored: self.schedules_run,
-            terminals: self.terminals,
-            violations_found: self.violations_found,
-            violations_in_contract: self.violations_in_contract,
-            violations: self.violations.clone(),
-            max_objective: self.max_objective.clone(),
-            exhaustive: false,
-            peak_visited_bytes: self.peak_visited_bytes,
-            spilled_bytes: self.spilled_bytes,
-            ..ExploreReport::default()
-        }
     }
 }
 
@@ -184,18 +165,6 @@ impl RandomOutcome {
     #[must_use]
     pub fn max_signaler_rmrs(&self) -> Option<u64> {
         self.report.max_objective.as_ref().map(|m| m.value)
-    }
-
-    /// Views this outcome as a [`CheckOutcome`] (via
-    /// [`RandomReport::as_explore_report`]).
-    #[must_use]
-    pub fn as_check_outcome(&self) -> CheckOutcome {
-        CheckOutcome {
-            report: self.report.as_explore_report(),
-            in_contract_violations: self.in_contract_violations,
-            out_of_contract_violations: self.out_of_contract_violations,
-            counterexample: self.counterexample.clone(),
-        }
     }
 }
 
@@ -244,13 +213,8 @@ pub fn check_random(scenario: &ScenarioSpec<'_>, bounds: &RandomBounds) -> Rando
     // Created on the serial submitting path, so the meter's track (and with
     // it the sorted frame stream) is thread-count independent; parallel
     // jobs tick one unit each, emitting at every cadence crossing.
-    let label = format!(
-        "{}/{}/n={}",
-        scenario.algorithm.name(),
-        model_tag(scenario.model),
-        n
-    );
-    let meter = shm_obs::progress::SharedMeter::new("pct", &label, 64, Some(bounds.schedules));
+    let meter =
+        shm_obs::progress::SharedMeter::new("pct", &scenario.label(), 64, Some(bounds.schedules));
 
     let jobs: Vec<u64> = (0..bounds.schedules).collect();
     let results = shm_pool::map_indexed(shm_pool::threads(), jobs, |_, i| {
@@ -329,33 +293,12 @@ pub fn check_random(scenario: &ScenarioSpec<'_>, bounds: &RandomBounds) -> Rando
         }
     });
 
-    // Identical packaging to `check`: shrink the first violation preserving
-    // verdict + contract classification, then re-validate through the
-    // differential RMR audit. Replay is a pure function of
-    // `(spec, schedule)` — no scheduler or rng state is involved — so the
-    // serialized counterexample alone reproduces the violating state.
-    let counterexample = report.violations.first().map(|v| {
-        let want_in_contract = v.in_contract;
-        let keep = |sim: &Simulator| {
-            oracle.check(sim).is_err() && oracle.in_contract(sim) == want_in_contract
-        };
-        let schedule = shrink_schedule(&spec, &v.schedule, keep);
-        let audit_clean = replay(&spec, &schedule).audit(&spec).is_clean();
-        Counterexample {
-            algorithm: scenario.algorithm.name().to_owned(),
-            oracle: v.oracle.to_owned(),
-            description: v.description.clone(),
-            in_contract: v.in_contract,
-            model: model_tag(scenario.model),
-            n: scenario.n(),
-            seed: scenario.seed,
-            schedule,
-            shrunk_from: v.schedule.len(),
-            max_depth: Some(bounds.steps as usize),
-            max_preemptions: None,
-            audit_clean,
-        }
-    });
+    // The step budget bounds every sampled schedule's length; sampling has
+    // no preemption bound.
+    let counterexample = report
+        .violations
+        .first()
+        .map(|v| scenario.counterexample(&spec, &oracle, v, Some(bounds.steps as usize), None));
 
     RandomOutcome {
         in_contract_violations: report.violations_in_contract,
@@ -420,14 +363,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn pct_outcome_views_as_check_outcome() {
-        let out = check_random(&scenario(&Broadcast, 2), &RandomBounds::pct(3, 8, 2, 2000));
-        let as_check = out.as_check_outcome();
-        assert!(!as_check.report.exhaustive, "sampling is never a proof");
-        assert_eq!(as_check.report.explored, 8);
-        assert_eq!(as_check.is_clean(), out.is_clean());
     }
 }

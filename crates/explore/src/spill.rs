@@ -1,5 +1,5 @@
-//! Delta-compressed sorted key runs: the on-disk (and in-memory) format of
-//! the cold tier of the visited store.
+//! Delta-compressed sorted key runs: the on-disk format of the cold tier of
+//! the visited store.
 //!
 //! A *run* is a strictly ascending sequence of dedup [`Key`]s encoded in
 //! blocks of [`KEYS_PER_BLOCK`]. Each block opens with its first key in
@@ -19,8 +19,8 @@
 //!    under another sleep set, bound word or context;
 //! 2. in-memory *fence pointers* ([`Fence`]: first key + byte extent per
 //!    block) binary-search to the single candidate block;
-//! 3. the block is decoded (from an in-memory slice or one positioned file
-//!    read) and scanned with early exit on the sorted order. The 128-bit
+//! 3. the block is read with one positioned file read, decoded and scanned
+//!    with early exit on the sorted order. The 128-bit
 //!    fingerprint varints decode a word at a time: three 8-byte
 //!    little-endian loads, with the 7-bit groups packed by mask and shift.
 //!
@@ -437,83 +437,6 @@ impl Prefilter {
     }
 }
 
-// ------------------------------------------------- in-memory key set ----
-
-/// An immutable, delta-compressed sorted key set held in memory: the same
-/// block encoding as a disk run, fronted by the same fences and prefilter.
-/// Used as the shared cross-bound *base* tier of [`crate::store::CarryBase`]
-/// (many workers probe one `Arc`'d set concurrently).
-pub struct CompressedKeySet {
-    bytes: Vec<u8>,
-    fences: Vec<Fence>,
-    filter: Prefilter,
-    count: u64,
-}
-
-impl CompressedKeySet {
-    /// Builds the set from strictly ascending `keys`.
-    #[must_use]
-    pub fn from_sorted(keys: &[Key]) -> Self {
-        let mut enc = RunEncoder::new();
-        let mut filter = Prefilter::with_capacity(keys.len());
-        for &k in keys {
-            enc.push(k);
-            filter.insert(&k);
-        }
-        let (bytes, fences, count, total) = enc.finish();
-        debug_assert_eq!(bytes.len() as u64, total, "nothing drained");
-        CompressedKeySet {
-            bytes,
-            fences,
-            filter,
-            count,
-        }
-    }
-
-    /// Number of keys in the set.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact membership.
-    #[must_use]
-    pub fn contains(&self, key: &Key) -> bool {
-        if !self.filter.maybe_contains(key) {
-            return false;
-        }
-        let Some(fi) = fence_for(&self.fences, key) else {
-            return false;
-        };
-        let f = &self.fences[fi];
-        let start = f.offset as usize;
-        block_contains(&self.bytes[start..start + f.len as usize], f.count, key)
-            .expect("an in-memory block decodes")
-    }
-
-    /// Decodes every key, in ascending order, into `out`.
-    pub fn decode_into(&self, out: &mut Vec<Key>) {
-        for f in &self.fences {
-            let start = f.offset as usize;
-            decode_block_into(&self.bytes[start..start + f.len as usize], f.count, out);
-        }
-    }
-
-    /// Resident size in bytes (encoded stream + fences + prefilter).
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.bytes.len()
-            + self.fences.len() * std::mem::size_of::<Fence>()
-            + self.filter.resident_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,13 +473,39 @@ mod tests {
         }
     }
 
+    /// `ks` encoded as one run held in memory: its bytes and fences.
+    fn encode(ks: &[Key]) -> (Vec<u8>, Vec<Fence>) {
+        let mut enc = RunEncoder::new();
+        for &k in ks {
+            enc.push(k);
+        }
+        let (bytes, fences, count, total) = enc.finish();
+        assert_eq!((count, total), (ks.len() as u64, bytes.len() as u64));
+        (bytes, fences)
+    }
+
+    fn block<'a>(bytes: &'a [u8], f: &Fence) -> &'a [u8] {
+        &bytes[f.offset as usize..(f.offset + u64::from(f.len)) as usize]
+    }
+
+    /// Membership the way a cold run answers it: the fence search picks
+    /// one block, and the block is scanned.
+    fn contains(bytes: &[u8], fences: &[Fence], key: &Key) -> bool {
+        fence_for(fences, key).is_some_and(|fi| {
+            let f = &fences[fi];
+            block_contains(block(bytes, f), f.count, key).expect("an in-memory block decodes")
+        })
+    }
+
     #[test]
     fn encode_decode_round_trips_across_block_boundaries() {
         for n in [0u64, 1, 2, 255, 256, 257, 1000] {
             let ks = keys(n, 1 << 64);
-            let set = CompressedKeySet::from_sorted(&ks);
+            let (bytes, fences) = encode(&ks);
             let mut out = Vec::new();
-            set.decode_into(&mut out);
+            for f in &fences {
+                decode_block_into(block(&bytes, f), f.count, &mut out);
+            }
             assert_eq!(out, ks, "n={n}");
         }
     }
@@ -564,19 +513,22 @@ mod tests {
     #[test]
     fn membership_is_exact() {
         let ks = keys(700, 3);
-        let set = CompressedKeySet::from_sorted(&ks);
+        let (bytes, fences) = encode(&ks);
         for k in &ks {
-            assert!(set.contains(k));
+            assert!(contains(&bytes, &fences, k));
         }
         for k in &ks {
             let absent = (k.0, k.1, k.2, k.3 ^ 1);
-            assert!(!set.contains(&absent));
+            assert!(!contains(&bytes, &fences, &absent));
             let absent = (k.0 + 1, k.1, k.2, k.3);
             if ks.binary_search(&absent).is_err() {
-                assert!(!set.contains(&absent));
+                assert!(!contains(&bytes, &fences, &absent));
             }
         }
-        assert!(!set.contains(&(0, 0, 0, 0)), "before-the-run probe");
+        assert!(
+            !contains(&bytes, &fences, &(0, 0, 0, 0)),
+            "before-the-run probe"
+        );
     }
 
     /// A splitmix64 stream.

@@ -19,24 +19,15 @@
 //! of live nodes backed by a FIFO file of packed entries (an encoded
 //! schedule replays to the identical simulator state, so a node that takes
 //! the disk detour expands exactly as a resident one would).
-//!
-//! [`CarryBase`] is the third, read-only tier: the visited keys of a
-//! previous `check_iterative` preemption bound, delta-compressed in memory
-//! and shared across workers by `Arc`, so iterative deepening stops
-//! re-exploring subtrees the previous bound already covered (sound because
-//! the bound word of a [`Key`] encodes the *remaining* preemption budget —
-//! see `explorer::key_of`).
 
-use crate::spill::{
-    self, block_contains, fence_for, CompressedKeySet, Fence, Key, Prefilter, RunEncoder,
-};
+use crate::spill::{self, block_contains, fence_for, Fence, Key, Prefilter, RunEncoder};
 use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Logical bytes charged per hot-tier key: 40 key bytes plus amortized
 /// open-addressing overhead (load factor, control bytes, growth slack).
@@ -130,8 +121,6 @@ pub enum Lookup {
     Hot,
     /// Duplicate, found in a cold on-disk run.
     Cold,
-    /// Duplicate, found in the carried base of a previous iterative bound.
-    Base,
 }
 
 /// One immutable sorted run spilled to a temp file: fences and prefilter
@@ -253,16 +242,13 @@ impl RunCursor {
     }
 }
 
-/// The two-tier (plus optional carried base) visited set. Exact set
-/// semantics at every budget; see the module docs for the tiering and the
-/// determinism argument.
+/// The two-tier visited set. Exact set semantics at every budget; see the
+/// module docs for the tiering and the determinism argument.
 pub struct VisitedStore {
     hot: HashSet<Key, KeyHashBuilder>,
     hot_cap: usize,
     runs: Vec<ColdRun>,
-    base: Option<Arc<CarryBase>>,
     len: u64,
-    reused: u64,
     spilled_bytes: u64,
     peak_bytes: u64,
     block_buf: Vec<u8>,
@@ -278,17 +264,16 @@ pub struct VisitedStore {
 impl VisitedStore {
     /// An empty store. `budget` is the whole exploration memory budget
     /// ([`crate::Bounds::mem_budget`]); the visited tier takes its 3/4
-    /// share via [`visited_hot_cap`]. `base` is the read-only key set of a
-    /// previous iterative bound, if carrying.
+    /// share via [`visited_hot_cap`]. `_unused` is always `None`: it keeps
+    /// the two-argument shape existing callers use, and no value of its
+    /// type can exist.
     #[must_use]
-    pub fn new(budget: Option<usize>, base: Option<Arc<CarryBase>>) -> Self {
+    pub fn new(budget: Option<usize>, _unused: Option<Infallible>) -> Self {
         VisitedStore {
             hot: HashSet::default(),
             hot_cap: visited_hot_cap(budget),
             runs: Vec::new(),
-            base,
             len: 0,
-            reused: 0,
             spilled_bytes: 0,
             peak_bytes: 0,
             block_buf: Vec::new(),
@@ -297,22 +282,16 @@ impl VisitedStore {
         }
     }
 
-    /// Keys inserted into *this* store (the carried base not included).
+    /// Keys inserted into the store.
     #[must_use]
     pub fn len(&self) -> u64 {
         self.len
     }
 
-    /// Whether this store holds no keys of its own.
+    /// Whether the store holds no keys.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Dedup hits answered by the carried base (prior-bound reuse).
-    #[must_use]
-    pub fn reused(&self) -> u64 {
-        self.reused
     }
 
     /// Total delta-compressed bytes spilled to disk by this store.
@@ -339,9 +318,6 @@ impl VisitedStore {
         if self.hot.contains(key) {
             shm_obs::counter!("store.hot_hits");
             return Lookup::Hot;
-        }
-        if self.base.as_deref().is_some_and(|b| b.contains(key)) {
-            return Lookup::Base;
         }
         if !self.runs.is_empty() && self.in_cold_runs(key) {
             return Lookup::Cold;
@@ -390,11 +366,6 @@ impl VisitedStore {
                     self.flush();
                 }
             }
-            Lookup::Base => {
-                self.reused += 1;
-                #[cfg(debug_assertions)]
-                self.assert_exact(&key, words());
-            }
             Lookup::Hot | Lookup::Cold => {
                 #[cfg(debug_assertions)]
                 self.assert_exact(&key, words());
@@ -405,12 +376,8 @@ impl VisitedStore {
 
     #[cfg(debug_assertions)]
     fn assert_exact(&self, key: &Key, words: Vec<u64>) {
-        let recorded = self
-            .exact
-            .get(key)
-            .or_else(|| self.base.as_deref().and_then(|b| b.exact.get(key)));
         assert_eq!(
-            recorded,
+            self.exact.get(key),
             Some(&words),
             "state-fingerprint collision: distinct states share a dedup key"
         );
@@ -466,118 +433,6 @@ impl VisitedStore {
         // count.
         shm_obs::counter!("store.runs_merged", merged_in);
         self.runs.push(merged);
-    }
-
-    /// Consumes the store, returning every key it holds (hot + cold, not
-    /// the base) in ascending order. Feeds [`CarryBuilder`].
-    #[must_use]
-    pub fn into_sorted_keys(mut self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.hot.drain().collect();
-        for run in self.runs.drain(..) {
-            let mut c = RunCursor::new(run);
-            while let Some(k) = c.peek().expect("spill run read") {
-                c.advance();
-                keys.push(k);
-            }
-        }
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Consumes the store for carry: sorted keys plus (debug) the exact
-    /// word encodings backing the collision cross-check.
-    #[cfg(debug_assertions)]
-    fn into_carry_parts(mut self) -> (Vec<Key>, std::collections::HashMap<Key, Vec<u64>>) {
-        let exact = std::mem::take(&mut self.exact);
-        (self.into_sorted_keys(), exact)
-    }
-}
-
-/// The read-only carried tier: every key visited by a previous
-/// `check_iterative` bound, delta-compressed in memory and probed through
-/// the same prefilter + fence + block path as a disk run. Shared across
-/// workers by `Arc`.
-pub struct CarryBase {
-    set: CompressedKeySet,
-    /// Exact encodings for the debug collision cross-check (the base is a
-    /// tier too; a hit against it asserts like any other).
-    #[cfg(debug_assertions)]
-    exact: std::collections::HashMap<Key, Vec<u64>>,
-}
-
-impl CarryBase {
-    /// Exact membership.
-    #[must_use]
-    pub fn contains(&self, key: &Key) -> bool {
-        self.set.contains(key)
-    }
-
-    /// Number of carried keys.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.set.len()
-    }
-
-    /// Whether the base is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Resident footprint of the compressed base in bytes.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.set.resident_bytes()
-    }
-}
-
-/// Accumulates visited stores (and the previous base) into the next
-/// [`CarryBase`]. Workers explore overlapping subtrees, so the union
-/// dedups.
-#[derive(Default)]
-pub struct CarryBuilder {
-    keys: Vec<Key>,
-    #[cfg(debug_assertions)]
-    exact: std::collections::HashMap<Key, Vec<u64>>,
-}
-
-impl CarryBuilder {
-    /// An empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        CarryBuilder::default()
-    }
-
-    /// Folds in the previous bound's base (its keys stay carried).
-    pub fn absorb_base(&mut self, base: &CarryBase) {
-        base.set.decode_into(&mut self.keys);
-        #[cfg(debug_assertions)]
-        self.exact
-            .extend(base.exact.iter().map(|(k, v)| (*k, v.clone())));
-    }
-
-    /// Folds in one walker's visited store.
-    pub fn absorb_store(&mut self, store: VisitedStore) {
-        #[cfg(debug_assertions)]
-        {
-            let (keys, exact) = store.into_carry_parts();
-            self.keys.extend_from_slice(&keys);
-            self.exact.extend(exact);
-        }
-        #[cfg(not(debug_assertions))]
-        self.keys.extend_from_slice(&store.into_sorted_keys());
-    }
-
-    /// Builds the compressed base for the next bound.
-    #[must_use]
-    pub fn build(mut self) -> CarryBase {
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        CarryBase {
-            set: CompressedKeySet::from_sorted(&self.keys),
-            #[cfg(debug_assertions)]
-            exact: self.exact,
-        }
     }
 }
 
@@ -793,10 +648,6 @@ mod tests {
         assert_eq!(store.len(), reference.len() as u64);
         assert!(store.spilled_bytes() > 0, "budget forced spilling");
         assert!(store.peak_bytes() > 0);
-        let keys = store.into_sorted_keys();
-        let mut want: Vec<Key> = reference.into_iter().collect();
-        want.sort_unstable();
-        assert_eq!(keys, want);
     }
 
     #[test]
@@ -807,25 +658,6 @@ mod tests {
         }
         assert_eq!(store.spilled_bytes(), 0);
         assert_eq!(store.len(), 10_000);
-    }
-
-    #[test]
-    fn base_hits_count_as_reuse_and_are_not_reinserted() {
-        let mut b = CarryBuilder::new();
-        let mut seed = VisitedStore::new(None, None);
-        for i in 0..100u64 {
-            seed.insert(k(i), Vec::new);
-        }
-        b.absorb_store(seed);
-        let base = Arc::new(b.build());
-        assert_eq!(base.len(), 100);
-        let mut store = VisitedStore::new(Some(1024), Some(base));
-        for i in 0..200u64 {
-            let got = store.insert(k(i), Vec::new);
-            assert_eq!(got, if i < 100 { Lookup::Base } else { Lookup::New });
-        }
-        assert_eq!(store.reused(), 100);
-        assert_eq!(store.len(), 100, "only the new half landed in the store");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! nodes between tiers, never changes answers).
 
 use shm_explore::spill::{
-    block_contains, try_decode_block_into, CompressedKeySet, Corrupt, Key, RunEncoder,
+    block_contains, decode_block_into, fence_for, try_decode_block_into, Corrupt, Fence, Key,
+    RunEncoder,
 };
 use shm_explore::store::VisitedStore;
 use shm_explore::{check, Bounds, ScenarioSpec};
@@ -35,6 +36,19 @@ fn random_sorted_keys(seed: u64, n: usize) -> Vec<Key> {
     keys
 }
 
+fn block<'a>(bytes: &'a [u8], f: &Fence) -> &'a [u8] {
+    &bytes[f.offset as usize..(f.offset + u64::from(f.len)) as usize]
+}
+
+/// Membership the way a cold run answers it: the fence search picks one
+/// block, and the block is scanned.
+fn contains(bytes: &[u8], fences: &[Fence], key: &Key) -> bool {
+    fence_for(fences, key).is_some_and(|fi| {
+        let f = &fences[fi];
+        block_contains(block(bytes, f), f.count, key).expect("an in-memory block decodes")
+    })
+}
+
 #[test]
 fn run_encoder_round_trips_random_sorted_batches() {
     for (case, &(seed, n)) in [
@@ -51,19 +65,32 @@ fn run_encoder_round_trips_random_sorted_batches() {
     .enumerate()
     {
         let keys = random_sorted_keys(seed, n);
-        let set = CompressedKeySet::from_sorted(&keys);
-        assert_eq!(set.len(), keys.len() as u64, "case {case}");
+        let mut enc = RunEncoder::new();
+        for &k in &keys {
+            enc.push(k);
+        }
+        let (bytes, fences, count, total) = enc.finish();
+        assert_eq!(count, keys.len() as u64, "case {case}");
+        assert_eq!(total, bytes.len() as u64, "case {case}");
         let mut decoded = Vec::new();
-        set.decode_into(&mut decoded);
+        for f in &fences {
+            decode_block_into(block(&bytes, f), f.count, &mut decoded);
+        }
         assert_eq!(decoded, keys, "case {case}: decode round-trip");
         for k in &keys {
-            assert!(set.contains(k), "case {case}: present key {k:?}");
+            assert!(
+                contains(&bytes, &fences, k),
+                "case {case}: present key {k:?}"
+            );
         }
         // Perturbed keys must be absent (unless the perturbation lands on a
         // real key, which the sorted batch rules out for the ctx-word flip).
         for k in keys.iter().step_by(7) {
             let absent = (k.0, k.1, k.2 ^ 0x8000_0000_0000_0000, k.3);
-            assert!(!set.contains(&absent), "case {case}: absent key");
+            assert!(
+                !contains(&bytes, &fences, &absent),
+                "case {case}: absent key"
+            );
         }
     }
 }
@@ -162,7 +189,8 @@ fn scenario<'a>(algo: &'a dyn SignalingAlgorithm, waiters: usize) -> ScenarioSpe
 /// The whole point of the store: a forcing budget must not change a single
 /// count, verdict, maximum, or schedule — only the memory-trajectory
 /// fields. Exercises both spill paths (visited runs and packed frontier
-/// nodes: at 8 KiB the frontier ring holds 4 nodes < the 64-node target).
+/// nodes: at 8 KiB the frontier ring holds 4 nodes < the 64-node target),
+/// and, under a preemption bound, keys whose bound word is not zero.
 #[test]
 fn explore_reports_are_invariant_under_forced_spilling() {
     let algos: Vec<Box<dyn SignalingAlgorithm>> = vec![
@@ -170,14 +198,17 @@ fn explore_reports_are_invariant_under_forced_spilling() {
         Box::new(SingleWaiter),
         Box::new(SeededBuggy::new(2)),
     ];
-    for algo in &algos {
+    for (algo, bounds) in algos
+        .iter()
+        .flat_map(|a| [(a, Bounds::exhaustive()), (a, Bounds::bounded(64, Some(2)))])
+    {
         let s = scenario(algo.as_ref(), 2);
-        let unspilled = check(&s, &Bounds::exhaustive());
+        let unspilled = check(&s, &bounds);
         let spilled = check(
             &s,
             &Bounds {
                 mem_budget: Some(8 * 1024),
-                ..Bounds::exhaustive()
+                ..bounds
             },
         );
         // Tiny spaces can fit under the hot-tier floors (64 keys / 4
@@ -186,7 +217,7 @@ fn explore_reports_are_invariant_under_forced_spilling() {
         if algo.name() == "single-waiter" {
             assert!(
                 spilled.report.spilled_bytes > 0,
-                "{}: 8 KiB must force spilling",
+                "{}: 8 KiB must force spilling under {bounds:?}",
                 algo.name()
             );
         }
@@ -211,7 +242,7 @@ fn explore_reports_are_invariant_under_forced_spilling() {
         assert_eq!(
             logical(&unspilled),
             logical(&spilled),
-            "{}: spilling changed an answer",
+            "{}: spilling changed an answer under {bounds:?}",
             algo.name()
         );
     }

@@ -7,7 +7,7 @@
 //!   passes) are pure functions of the workload. A [`Meter`] lives on one
 //!   serial code path (the explorer's breadth-first phase, a subtree
 //!   walker, the adversary's round loop), so everything it can see —
-//!   frontier length, spilled bytes, reused keys — is thread-count
+//!   frontier length, spilled bytes, deduplicated states — is thread-count
 //!   independent. A [`SharedMeter`] is ticked one unit at a time from
 //!   *parallel* jobs; it emits a frame exactly when the shared count
 //!   crosses a cadence multiple, and because increments are unit-sized
