@@ -35,7 +35,8 @@
 //!   the key also carries each oracle's order-witness word
 //!   ([`Oracle::dedup_context`]), so histories merge only when every past
 //!   order fact that can sway a future verdict agrees. Merging is exact up
-//!   to hash collision; debug builds keep the full
+//!   to hash collision; debug builds (and this crate's
+//!   `exact-fingerprints` feature) keep the full
 //!   [`shm_sim::Simulator::state_words`] encoding and assert every hit.
 //! * **Preemption bounding + depth limits** ([`Bounds`]): beyond the
 //!   exhaustive regime, exploration degrades gracefully into a CHESS-style

@@ -253,11 +253,11 @@ pub struct VisitedStore {
     peak_bytes: u64,
     block_buf: Vec<u8>,
     /// Exact-state fallback: fingerprint collisions would silently merge
-    /// distinct states, so debug builds (and `exact-fingerprints` feature
-    /// builds of shm-sim, via the same cfg) keep the full word encodings
-    /// across *all* tiers — a key that spilled to disk still has its words
-    /// here — and assert every dedup hit, whichever tier answered it.
-    #[cfg(debug_assertions)]
+    /// distinct states, so debug builds (and builds with this crate's
+    /// `exact-fingerprints` feature) keep the full word encodings across
+    /// *all* tiers — a key that spilled to disk still has its words here —
+    /// and assert every dedup hit, whichever tier answered it.
+    #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
     exact: std::collections::HashMap<Key, Vec<u64>>,
 }
 
@@ -277,7 +277,7 @@ impl VisitedStore {
             spilled_bytes: 0,
             peak_bytes: 0,
             block_buf: Vec::new(),
-            #[cfg(debug_assertions)]
+            #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
             exact: std::collections::HashMap::new(),
         }
     }
@@ -348,16 +348,16 @@ impl VisitedStore {
     /// Inserts `key`, reporting which tier (if any) already had it. A
     /// duplicate is *not* re-inserted; a new key lands in the hot tier and
     /// may trigger a spill. `words` materializes the exact state encoding
-    /// — only ever called in debug builds, where every duplicate hit is
-    /// asserted against the encoding recorded at first insert (the
-    /// collision cross-check, preserved across tiers).
+    /// — only ever called in debug and `exact-fingerprints` builds, where
+    /// every duplicate hit is asserted against the encoding recorded at
+    /// first insert (the collision cross-check, preserved across tiers).
     pub fn insert(&mut self, key: Key, words: impl FnOnce() -> Vec<u64>) -> Lookup {
         let found = self.lookup(&key);
         match found {
             Lookup::New => {
-                #[cfg(debug_assertions)]
+                #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
                 self.exact.insert(key, words());
-                #[cfg(not(debug_assertions))]
+                #[cfg(not(any(debug_assertions, feature = "exact-fingerprints")))]
                 let _ = &words;
                 self.hot.insert(key);
                 self.len += 1;
@@ -367,14 +367,14 @@ impl VisitedStore {
                 }
             }
             Lookup::Hot | Lookup::Cold => {
-                #[cfg(debug_assertions)]
+                #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
                 self.assert_exact(&key, words());
             }
         }
         found
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
     fn assert_exact(&self, key: &Key, words: Vec<u64>) {
         assert_eq!(
             self.exact.get(key),
@@ -661,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
     fn collision_cross_check_fires_across_tiers() {
         // Insert a key with one exact encoding, force it to spill to the
         // cold tier, then hit the same key with a *different* encoding: the
