@@ -8,7 +8,9 @@ use crate::oracle::{Objective, Oracle};
 use crate::spill::{self, Corrupt, Key};
 use crate::store::{frontier_hot_cap, Lookup, Popped, SpillQueue, VisitedStore};
 use shm_pool::map_indexed;
-use shm_sim::{CallRecord, Checkpoint, Op, ProcId, SimSpec, Simulator, TransitionPeek};
+use shm_sim::{
+    CallRecord, Checkpoint, Op, ProcId, SimSpec, Simulator, StateHasher, StateSum, TransitionPeek,
+};
 
 /// Target frontier size for the parallel fan-out: the serial breadth-first
 /// phase stops once this many open nodes exist, and the rest of the space
@@ -95,10 +97,17 @@ pub struct ExploreReport {
     pub peak_frontier: u64,
     /// Peak logical bytes of visited-store residency, summed over the
     /// serial phase and every frontier walker (each contributes its own
-    /// peak: the aggregate footprint if all walkers peaked at once —
-    /// conservative, and deterministic at any thread count). Logical
-    /// accounting ([`crate::store::SLOT_BYTES`] per hot key + resident run
-    /// indexes), never an allocator or RSS reading.
+    /// peak). Logical accounting ([`crate::store::SLOT_BYTES`] per hot
+    /// key plus the resident run indexes), never an allocator or RSS
+    /// reading, and deterministic at any thread count.
+    ///
+    /// The sum is not a residency any run reaches: it counts every
+    /// walker's store as if all peaked at once, but each store drops when
+    /// its walk ends (the serial phase's before the fan-out, a frontier
+    /// walker's with its pool job), so at most `threads` are alive
+    /// together. On the unbudgeted E9 deep row it reads 120,339,560
+    /// bytes, the sum over ~65 walkers, while the process peaks at about
+    /// 16 MiB of RSS.
     pub peak_visited_bytes: u64,
     /// Total delta-compressed bytes spilled to disk (visited runs + packed
     /// frontier nodes). 0 whenever the budget never forced a spill.
@@ -184,6 +193,35 @@ struct Node {
     preempts: u32,
 }
 
+/// What a walk carries into a node's expansion besides the simulator state:
+/// everything here is the parent's, changed only by the one step between
+/// them (see [`Walker::child_frame`]), so no field is rebuilt from the
+/// whole history or the whole state except at a walk's root.
+struct Frame {
+    /// Bitmask of sleeping process IDs.
+    sleep: u64,
+    /// Preemptive context switches on the path to this node.
+    preempts: u32,
+    /// One entry per enabled process, in ascending pid order.
+    classes: Vec<(ProcId, Class)>,
+    /// The node history's call records.
+    calls: Vec<CallRecord>,
+    /// Open-call map paired with [`Frame::calls`].
+    open: Vec<usize>,
+    /// The process-and-cell part of the node's state fingerprint.
+    sum: StateSum,
+}
+
+/// A claimed child: the step that reaches it and its path context.
+#[derive(Clone, Copy)]
+struct Child {
+    pid: ProcId,
+    sleep: u64,
+    preempts: u32,
+    /// The process-and-cell part of the child's state fingerprint.
+    sum: StateSum,
+}
+
 // The dedup [`Key`] (state fingerprint + sleep set + bound word + oracle
 // order-witness context) lives in `crate::spill`; two histories may only
 // merge when every past fact that can sway a future verdict agrees. When
@@ -206,30 +244,27 @@ struct Walker<'a> {
     oracles: &'a [&'a dyn Oracle],
     objective: Option<&'a dyn Objective>,
     bounds: &'a Bounds,
-    /// The two-tier visited set (hot table + spilled cold runs). The debug
-    /// exact-state collision cross-check lives inside the store, preserved
-    /// across tiers.
+    /// The two-tier visited set (hot table + spilled cold runs). The
+    /// exact-state collision cross-check of debug and `exact-fingerprints`
+    /// builds lives inside the store, preserved across tiers.
     visited: VisitedStore,
     rep: ExploreReport,
-    /// Reusable call-record buffer: every judged state reconstructs the
-    /// history's calls exactly once, shared between the oracle checks and
-    /// the dedup contexts.
+    /// Call records of the state just stepped to: its node's records plus
+    /// the one or two events its step appended
+    /// ([`shm_sim::History::calls_extend`]), built once and shared between
+    /// the oracle checks and the dedup contexts. The chain fast path moves
+    /// them into the child's frame.
     calls_buf: Vec<CallRecord>,
     /// Open-call map paired with [`Walker::calls_buf`].
     open_buf: Vec<usize>,
-    /// Node-state call records, computed once per expanded node; each
-    /// claimed child copies them and applies only the events its step
-    /// appended ([`shm_sim::History::calls_extend`]).
-    node_calls: Vec<CallRecord>,
-    /// Open-call map paired with [`Walker::node_calls`].
-    node_open: Vec<usize>,
-    /// Reusable state-word buffer for dedup-key fingerprints.
-    words_buf: Vec<u64>,
+    /// Computes each child's state fingerprint from its node's
+    /// [`StateSum`] and the words its step changed.
+    hasher: StateHasher,
     /// Recycled node checkpoints: [`Simulator::snapshot_reuse`] makes the
     /// per-node snapshot allocation-free at steady state.
     ckpt_pool: Vec<Checkpoint>,
-    /// Recycled per-node class tables (see [`Walker::child_classes`]).
-    class_pool: Vec<Vec<(ProcId, Class)>>,
+    /// Recycled frames (see [`Walker::frame`]).
+    frame_pool: Vec<Frame>,
     /// Live progress meter (`None` when no progress sink is installed).
     /// Each walker runs on one serial path whose track the pool fixed by
     /// submission index, so every field it emits is deterministic.
@@ -259,11 +294,9 @@ impl<'a> Walker<'a> {
             meter: shm_obs::progress::Meter::new("explore", label, PROGRESS_EVERY_STATES, None),
             calls_buf: Vec::new(),
             open_buf: Vec::new(),
-            node_calls: Vec::new(),
-            node_open: Vec::new(),
-            words_buf: Vec::new(),
+            hasher: StateHasher::new(),
             ckpt_pool: Vec::new(),
-            class_pool: Vec::new(),
+            frame_pool: Vec::new(),
         }
     }
 
@@ -274,6 +307,7 @@ impl<'a> Walker<'a> {
         last: ProcId,
         preempts: u32,
         calls: &[CallRecord],
+        sum: StateSum,
     ) -> Key {
         // The bound word encodes the *remaining* budget, not the used
         // count; within a run the two are bijective, so dedup is the same
@@ -287,9 +321,13 @@ impl<'a> Walker<'a> {
         for oracle in self.oracles {
             ctx = ctx.rotate_left(7) ^ oracle.dedup_context_with(sim, calls);
         }
-        let mut words = std::mem::take(&mut self.words_buf);
-        let fp = sim.state_fingerprint_with(&mut words);
-        self.words_buf = words;
+        let fp = self.hasher.fingerprint(sim, sum);
+        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
+        assert_eq!(
+            fp,
+            sim.state_fingerprint(),
+            "one-step state fingerprint differs from the full hash"
+        );
         (fp, sleep, aux, ctx)
     }
 
@@ -321,11 +359,15 @@ impl<'a> Walker<'a> {
     /// stepping `sim`, judging and dedup-checking the stepped state, and
     /// rolling back through the snapshot lazily (only when the next
     /// candidate actually needs the node state). Returns the node's
-    /// checkpoint, the surviving `(pid, sleep, preempts)` children to
-    /// descend into, and whether `sim` was left sitting at the *last*
-    /// surviving child's state (the chain fast path: a single-child node
-    /// descends without a restore or a re-step); `None` when the node is
-    /// terminal.
+    /// checkpoint (if one was taken), the surviving children to descend
+    /// into, and whether `sim` was left sitting at the *last* surviving
+    /// child's state (the chain fast path: a single-child node descends
+    /// without a restore or a re-step); `None` when the node is terminal.
+    ///
+    /// The checkpoint is only restored to step a second candidate or to
+    /// re-step a second child, so it is taken only when `node` has two or
+    /// more candidates outside its sleep set, or when `keep_node` asks for
+    /// the node state back afterwards (the breadth-first phase).
     ///
     /// Claiming *all* siblings before any descent keeps the visited-set
     /// insertion order — and with it every dedup, sleep, and bound count —
@@ -333,14 +375,12 @@ impl<'a> Walker<'a> {
     /// snapshot/restore cycle replaces the per-candidate deep clone of the
     /// whole simulator (history and schedule rewind in place; process
     /// machines roll back by swapping refcounted pointers).
-    #[allow(clippy::type_complexity)]
     fn expand(
         &mut self,
         sim: &mut Simulator,
-        node_sleep: u64,
-        node_preempts: u32,
-        classes: &[(ProcId, Class)],
-    ) -> Option<(Checkpoint, Vec<(ProcId, u64, u32)>, SimAt)> {
+        node: &Frame,
+        keep_node: bool,
+    ) -> Option<(Option<Checkpoint>, Vec<Child>, SimAt)> {
         self.rep.explored += 1;
         shm_obs::counter!("explore.states");
         if self.meter.as_mut().is_some_and(|m| m.tick(1)) {
@@ -353,7 +393,7 @@ impl<'a> Walker<'a> {
             ];
             self.meter.as_mut().expect("just ticked").emit(&fields);
         }
-        if classes.is_empty() {
+        if node.classes.is_empty() {
             self.rep.terminals += 1;
             shm_obs::counter!("explore.terminals");
             if let Some(obj) = self.objective {
@@ -375,12 +415,13 @@ impl<'a> Walker<'a> {
         }
         let last = sim.schedule().last().copied();
         let depth = sim.schedule().len();
-        let ckpt = sim.snapshot_reuse(self.ckpt_pool.pop());
+        let candidates = node
+            .classes
+            .iter()
+            .filter(|&&(pid, _)| node.sleep >> pid.0 & 1 == 0)
+            .count();
+        let ckpt = (keep_node || candidates > 1).then(|| sim.snapshot_reuse(self.ckpt_pool.pop()));
         let node_len = sim.history().len();
-        let mut node_calls = std::mem::take(&mut self.node_calls);
-        let mut node_open = std::mem::take(&mut self.node_open);
-        sim.history()
-            .calls_into_open(&mut node_calls, &mut node_open);
         let mut children = Vec::new();
         // Pids already covered from this node (executed, deduped, or judged
         // violating): sleep-set candidates for later siblings.
@@ -389,8 +430,8 @@ impl<'a> Walker<'a> {
         // states roll back lazily, only when the next candidate needs the
         // node state.
         let mut at = SimAt::Node;
-        for &(pid, class) in classes {
-            if node_sleep >> pid.0 & 1 == 1 {
+        for &(pid, class) in &node.classes {
+            if node.sleep >> pid.0 & 1 == 1 {
                 self.rep.sleep_pruned += 1;
                 shm_obs::counter!("explore.sleep_pruned");
                 continue;
@@ -402,11 +443,11 @@ impl<'a> Walker<'a> {
                 continue;
             }
             if at != SimAt::Node {
-                sim.restore(&ckpt);
+                sim.restore(ckpt.as_ref().expect("a second candidate has a checkpoint"));
                 at = SimAt::Node;
             }
             let preempt = last.is_some_and(|l| l != pid && sim.is_runnable(l));
-            let preempts = node_preempts + u32::from(preempt);
+            let preempts = node.preempts + u32::from(preempt);
             if self
                 .bounds
                 .max_preemptions
@@ -421,8 +462,8 @@ impl<'a> Walker<'a> {
             // with the step being taken (classic sleep-set propagation).
             let sleep = if self.bounds.dpor {
                 let mut s = 0u64;
-                for &(q, qc) in classes {
-                    let covered = (node_sleep | done) >> q.0 & 1 == 1;
+                for &(q, qc) in &node.classes {
+                    let covered = (node.sleep | done) >> q.0 & 1 == 1;
                     if covered && independent(qc, class) {
                         s |= 1 << q.0;
                     }
@@ -431,23 +472,23 @@ impl<'a> Walker<'a> {
             } else {
                 0
             };
+            let before = sim.step_words(pid, class.op.map(|op| op.addr()));
             let _ = sim.step(pid);
             at = SimAt::Stale;
+            let sum = self.hasher.advance(sim, node.sum, &before);
             // Judge *before* the dedup check: a verdict can depend on the
             // event order of the path, so a violating state must never be
             // skipped because a clean reordering of it was visited first.
             // The call records feed both the judging oracles and the dedup
-            // contexts, so reconstruct them once per stepped state.
+            // contexts, so build them once per stepped state.
             let mut calls = std::mem::take(&mut self.calls_buf);
             let mut open = std::mem::take(&mut self.open_buf);
-            calls.clear();
-            calls.extend_from_slice(&node_calls);
-            open.clear();
-            open.extend_from_slice(&node_open);
+            calls.clone_from(&node.calls);
+            open.clone_from(&node.open);
             sim.history().calls_extend(node_len, &mut calls, &mut open);
             let verdict = self.judge(sim, &calls);
             let key = (verdict.is_none() && self.bounds.dedup)
-                .then(|| self.key_of(sim, sleep, pid, preempts, &calls));
+                .then(|| self.key_of(sim, sleep, pid, preempts, &calls, sum));
             self.calls_buf = calls;
             self.open_buf = open;
             if let Some(v) = verdict {
@@ -469,11 +510,14 @@ impl<'a> Walker<'a> {
                 }
             }
             done |= 1 << pid.0;
-            children.push((pid, sleep, preempts));
+            children.push(Child {
+                pid,
+                sleep,
+                preempts,
+                sum,
+            });
             at = SimAt::LastChild;
         }
-        self.node_calls = node_calls;
-        self.node_open = node_open;
         Some((ckpt, children, at))
     }
 
@@ -501,79 +545,112 @@ impl<'a> Walker<'a> {
     /// On return `sim` sits at or below the entry state — callers that need
     /// the entry state back restore to their own checkpoint, which stays
     /// valid for any descendant state.
-    fn dfs(
-        &mut self,
-        sim: &mut Simulator,
-        sleep: u64,
-        preempts: u32,
-        classes: Vec<(ProcId, Class)>,
-    ) {
-        let Some((ckpt, children, at)) = self.expand(sim, sleep, preempts, &classes) else {
-            self.class_pool.push(classes);
+    fn dfs(&mut self, sim: &mut Simulator, node: Frame) {
+        let Some((ckpt, children, at)) = self.expand(sim, &node, false) else {
+            self.frame_pool.push(node);
             return;
         };
-        if let [(pid, child_sleep, child_preempts)] = children[..] {
-            if at == SimAt::LastChild {
-                let cc = self.child_classes(&classes, sim, pid);
-                self.dfs(sim, child_sleep, child_preempts, cc);
-                self.ckpt_pool.push(ckpt);
-                self.class_pool.push(classes);
+        match children[..] {
+            [] => self.ckpt_pool.extend(ckpt),
+            [child] if at == SimAt::LastChild => {
+                // The claim pass left `sim` at the child's state and the
+                // child's call records in `calls_buf`.
+                let mut frame = self.child_frame(&node, sim, child);
+                std::mem::swap(&mut frame.calls, &mut self.calls_buf);
+                std::mem::swap(&mut frame.open, &mut self.open_buf);
+                self.ckpt_pool.extend(ckpt);
+                self.frame_pool.push(node);
+                self.dfs(sim, frame);
                 return;
             }
-        }
-        let mut at_node = at == SimAt::Node;
-        for (pid, child_sleep, child_preempts) in children {
-            if !at_node {
-                sim.restore(&ckpt);
-            }
-            let _ = sim.step(pid);
-            let cc = self.child_classes(&classes, sim, pid);
-            self.dfs(sim, child_sleep, child_preempts, cc);
-            at_node = false;
-        }
-        self.ckpt_pool.push(ckpt);
-        self.class_pool.push(classes);
-    }
-
-    /// The class table of the child reached by stepping `stepped` from the
-    /// node whose table is `parent`. A step only mutates the stepped
-    /// process's machine — every transition peek is process-local — so the
-    /// child's table is the parent's with the one entry re-peeked (and
-    /// dropped when the process terminated), not `n` fresh peeks, each of
-    /// which deep-clones a machine.
-    fn child_classes(
-        &mut self,
-        parent: &[(ProcId, Class)],
-        sim: &Simulator,
-        stepped: ProcId,
-    ) -> Vec<(ProcId, Class)> {
-        let mut out = self.class_pool.pop().unwrap_or_default();
-        out.clear();
-        out.extend_from_slice(parent);
-        let idx = out
-            .iter()
-            .position(|&(p, _)| p == stepped)
-            .expect("stepped pid was an enabled candidate");
-        match classify(sim, stepped) {
-            Some(c) => out[idx].1 = c,
-            None => {
-                out.remove(idx);
+            _ => {
+                // Two or more children, or one that a later candidate's
+                // rollback or step left behind: either way at least two
+                // candidates stepped, so the node has a checkpoint.
+                let ckpt = ckpt.expect("a node with two candidates has a checkpoint");
+                let mut at_node = at == SimAt::Node;
+                for &child in &children {
+                    if !at_node {
+                        sim.restore(&ckpt);
+                    }
+                    let _ = sim.step(child.pid);
+                    let mut frame = self.child_frame(&node, sim, child);
+                    frame.calls.extend_from_slice(&node.calls);
+                    frame.open.extend_from_slice(&node.open);
+                    sim.history().calls_extend(
+                        ckpt.history_len(),
+                        &mut frame.calls,
+                        &mut frame.open,
+                    );
+                    self.dfs(sim, frame);
+                    at_node = false;
+                }
+                self.ckpt_pool.push(ckpt);
             }
         }
-        out
+        self.frame_pool.push(node);
     }
-}
 
-/// The full class table of `sim`'s current state: one entry per enabled
-/// process, in ascending pid order. Used for exploration roots; interior
-/// nodes derive their tables incrementally ([`Walker::child_classes`]).
-fn full_classes(sim: &Simulator) -> Vec<(ProcId, Class)> {
-    (0..sim.n())
-        .filter_map(|i| {
+    /// A recycled frame with empty tables.
+    fn frame(&mut self, sleep: u64, preempts: u32, sum: StateSum) -> Frame {
+        match self.frame_pool.pop() {
+            Some(mut f) => {
+                f.sleep = sleep;
+                f.preempts = preempts;
+                f.sum = sum;
+                f.classes.clear();
+                f.calls.clear();
+                f.open.clear();
+                f
+            }
+            None => Frame {
+                sleep,
+                preempts,
+                classes: Vec::new(),
+                calls: Vec::new(),
+                open: Vec::new(),
+                sum,
+            },
+        }
+    }
+
+    /// The frame of a walk's root, `sim`'s current state, built from
+    /// scratch: one peek per process, the call records from event 0, and
+    /// the full state sum.
+    fn root_frame(&mut self, sim: &Simulator, sleep: u64, preempts: u32) -> Frame {
+        let sum = self.hasher.sum(sim);
+        let mut f = self.frame(sleep, preempts, sum);
+        f.classes.extend((0..sim.n()).filter_map(|i| {
             let pid = ProcId(i as u32);
             classify(sim, pid).map(|c| (pid, c))
-        })
-        .collect()
+        }));
+        sim.history().calls_into_open(&mut f.calls, &mut f.open);
+        f
+    }
+
+    /// The frame of `child`, whose state `sim` holds, reached by one step
+    /// from the node whose frame is `parent`. Its call records are left
+    /// empty for the caller to fill. A step only mutates the stepped
+    /// process's machine — every transition peek is process-local — so the
+    /// child's class table is the parent's with the one entry re-peeked
+    /// (and dropped when the process terminated), not `n` fresh peeks, each
+    /// of which deep-clones a machine.
+    fn child_frame(&mut self, parent: &Frame, sim: &Simulator, child: Child) -> Frame {
+        let mut f = self.frame(child.sleep, child.preempts, child.sum);
+        f.classes.extend_from_slice(&parent.classes);
+        let idx = f
+            .classes
+            .iter()
+            .position(|&(p, _)| p == child.pid)
+            .expect("stepped pid was an enabled candidate");
+        match classify(sim, child.pid) {
+            Some(c) => f.classes[idx].1 = c,
+            None => {
+                f.classes.remove(idx);
+            }
+        }
+        f
+    }
 }
 
 /// Merges sub-reports in submission-index order.
@@ -716,28 +793,29 @@ pub(crate) fn explore_labelled(
             break;
         };
         let mut node = materialize(spec, popped).expect("frontier spill entry decodes");
-        let classes = full_classes(&node.sim);
-        let Some((ckpt, children, at)) =
-            phase1.expand(&mut node.sim, node.sleep, node.preempts, &classes)
-        else {
+        let frame = phase1.root_frame(&node.sim, node.sleep, node.preempts);
+        let expanded = phase1.expand(&mut node.sim, &frame, true);
+        phase1.frame_pool.push(frame);
+        let Some((ckpt, children, at)) = expanded else {
             continue;
         };
+        let ckpt = ckpt.expect("the breadth-first phase keeps every node's checkpoint");
         if at != SimAt::Node {
             node.sim.restore(&ckpt);
         }
-        for (pid, sleep, preempts) in children {
+        for child in children {
             // The breadth-first frontier needs materialized child states:
             // re-step the claimed child and clone it off before rolling
             // back. This phase touches at most `FRONTIER` nodes (and the
             // queue spills the excess beyond the hot ring).
-            let _ = node.sim.step(pid);
+            let _ = node.sim.step(child.pid);
             let sim = node.sim.clone();
             node.sim.restore(&ckpt);
             queue.push(
                 Node {
                     sim,
-                    sleep,
-                    preempts,
+                    sleep: child.sleep,
+                    preempts: child.preempts,
                 },
                 pack_node,
             );
@@ -761,8 +839,8 @@ pub(crate) fn explore_labelled(
                 sleep,
                 preempts,
             } = materialize(spec, popped).expect("frontier spill entry decodes");
-            let classes = full_classes(&sim);
-            w.dfs(&mut sim, sleep, preempts, classes);
+            let root = w.root_frame(&sim, sleep, preempts);
+            w.dfs(&mut sim, root);
             w.into_report()
         });
         for part in parts {

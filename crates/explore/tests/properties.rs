@@ -1,10 +1,14 @@
 //! Property tests for the explorer: DPOR agrees with naive enumeration,
-//! shrinking preserves classification, the negative control is caught, and
-//! reports are byte-identical at any thread count.
+//! shrinking preserves classification, the negative control is caught,
+//! reports are byte-identical at any thread count, and the one-step state
+//! fingerprints it keys states on equal the full hash.
 
 use shm_explore::{check, explore, Bounds, PollingSpecOracle, ProcRmrs, ScenarioSpec};
-use shm_sim::{CostModel, ProcId};
-use signaling::algorithms::{Broadcast, CcFlag, SeededBuggy, SingleWaiter};
+use shm_sim::{CostModel, ProcId, Simulator, StateHasher, TransitionPeek, XorShift64};
+use signaling::algorithms::{
+    Broadcast, CasList, CcFlag, FixedSignaler, FixedWaiters, QueueSignaling, SeededBuggy,
+    SingleWaiter,
+};
 use signaling::SignalingAlgorithm;
 use std::sync::Mutex;
 
@@ -177,5 +181,73 @@ fn reports_are_identical_at_any_thread_count() {
             "{}: report differs across thread counts",
             algo.name()
         );
+    }
+}
+
+/// The explorer fingerprints each child from its node's `StateSum` and the
+/// words its step changed. On seeded random walks of every shipped
+/// algorithm and the three seeded-buggy variants, under DSM and the default
+/// CC model, that one-step value must equal the full
+/// `Simulator::state_fingerprint` after every step.
+#[test]
+fn one_step_fingerprints_equal_the_full_hash_on_random_walks() {
+    const WAITERS: usize = 3;
+    const MAX_STEPS: usize = 2_000;
+    let fixed: Vec<ProcId> = (0..WAITERS as u32).map(ProcId).collect();
+    let signaler = ProcId(WAITERS as u32);
+    let algos: Vec<Box<dyn SignalingAlgorithm>> = vec![
+        Box::new(Broadcast),
+        Box::new(CcFlag),
+        Box::new(SingleWaiter),
+        Box::new(QueueSignaling),
+        Box::new(CasList),
+        Box::new(FixedWaiters::eager(fixed.clone())),
+        Box::new(FixedWaiters::awaiting(fixed, signaler)),
+        Box::new(FixedSignaler { signaler }),
+        Box::new(SeededBuggy::new(0)),
+        Box::new(SeededBuggy::new(1)),
+        Box::new(SeededBuggy::new(2)),
+    ];
+    let walks: u64 = if cfg!(debug_assertions) { 8 } else { 40 };
+    for algo in &algos {
+        for model in [CostModel::Dsm, CostModel::cc_default()] {
+            let spec = ScenarioSpec {
+                algorithm: algo.as_ref(),
+                waiters: WAITERS,
+                max_polls: 2,
+                signaler_polls_first: 1,
+                model,
+                seed: None,
+            }
+            .build();
+            for seed in 0..walks {
+                let mut rng = XorShift64::new(seed);
+                let mut sim = Simulator::new(&spec);
+                let mut hasher = StateHasher::new();
+                let mut sum = hasher.sum(&sim);
+                let mut runnable = Vec::new();
+                for step in 0..MAX_STEPS {
+                    sim.runnable_into(&mut runnable);
+                    if runnable.is_empty() {
+                        break;
+                    }
+                    let pid = runnable[(rng.next_u64() % runnable.len() as u64) as usize];
+                    let addr = match sim.peek_transition(pid) {
+                        TransitionPeek::Access(op) => Some(op.addr()),
+                        _ => None,
+                    };
+                    let before = sim.step_words(pid, addr);
+                    let _ = sim.step(pid);
+                    sum = hasher.advance(&sim, sum, &before);
+                    assert_eq!(
+                        hasher.fingerprint(&sim, sum),
+                        sim.state_fingerprint(),
+                        "{} under {}, walk {seed}, step {step} ({pid})",
+                        algo.name(),
+                        shm_sim::model_tag(model)
+                    );
+                }
+            }
+        }
     }
 }

@@ -90,7 +90,8 @@ pub use sched::{
     Solo,
 };
 pub use sim::{
-    Checkpoint, Peek, ProcStats, SimSpec, Simulator, Status, StepReport, Totals, TransitionPeek,
+    Checkpoint, Peek, ProcStats, SimSpec, Simulator, StateHasher, StateSum, Status, StepReport,
+    StepWords, Totals, TransitionPeek,
 };
 pub use source::{CallFactory, CallSource, Chain, Idle, RepeatUntil, Script, ScriptedCall};
 pub use trace::{render, render_with, RenderOptions};

@@ -2,7 +2,7 @@
 //! memory with exact cost accounting, schedule recording, and replay.
 
 use crate::event::{Event, History};
-use crate::ids::{ProcId, Word};
+use crate::ids::{Addr, ProcId, Word};
 use crate::machine::{Call, CallKind, Step};
 use crate::mem::{CellUndo, MemLayout, Memory};
 use crate::model::{AccessCost, CostModel, CostState};
@@ -421,8 +421,9 @@ impl Simulator {
     }
 
     /// [`Simulator::snapshot`] recycling a previously returned checkpoint's
-    /// allocations. Exploration loops snapshot every expanded node; pooling
-    /// the checkpoints makes that allocation-free at steady state.
+    /// allocations. The explorer snapshots every expanded node that may
+    /// roll back to step a second child; pooling the checkpoints makes
+    /// that allocation-free at steady state.
     #[must_use]
     pub fn snapshot_reuse(&self, prev: Option<Checkpoint>) -> Checkpoint {
         let Some(mut c) = prev else {
@@ -792,7 +793,7 @@ impl Simulator {
                 );
             }
             for a in 0..spec.layout.len() {
-                let addr = crate::ids::Addr(a as u32);
+                let addr = Addr(a as u32);
                 assert_eq!(
                     shadow.memory.peek(addr),
                     self.memory.peek(addr),
@@ -1356,49 +1357,88 @@ impl Simulator {
 
     /// [`Simulator::state_words`] into a caller-owned buffer (cleared first),
     /// so per-state dedup keys in hot exploration loops allocate nothing.
+    ///
+    /// The layout: 13 words per process in pid order, then 2 per memory
+    /// cell in address order, then the cost-model words, whose number
+    /// varies with the cache state (none under DSM).
     pub fn state_words_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        for (i, p) in self.procs.iter().enumerate() {
-            let pid = ProcId(i as u32);
-            let fp = self.history.fingerprint(pid);
-            out.push((fp >> 64) as u64);
-            out.push(fp as u64);
-            out.push(match p.status {
+        for i in 0..self.procs.len() {
+            out.extend(self.proc_words(ProcId(i as u32)));
+        }
+        for a in 0..self.memory.len() {
+            out.extend(self.cell_words(Addr(a as u32)));
+        }
+        self.cost.encode_state(out);
+    }
+
+    /// Process `pid`'s words of [`Simulator::state_words`]: its projection
+    /// fingerprint, status, pending-call flag, last results and stats. Only
+    /// a step of `pid` changes them.
+    #[inline]
+    fn proc_words(&self, pid: ProcId) -> [u64; PROC_WORDS] {
+        let p = &self.procs[pid.index()];
+        let fp = self.history.fingerprint(pid);
+        [
+            (fp >> 64) as u64,
+            fp as u64,
+            match p.status {
                 Status::Runnable => 0,
                 Status::Terminated => 1,
                 Status::Crashed => 2,
-            });
-            out.push(u64::from(p.current.is_some()));
+            },
+            u64::from(p.current.is_some()),
             // Option<Word> as (presence, value) pairs: Word is the full u64
             // range (NIL = u64::MAX), so a +1 offset encoding would overflow.
-            out.push(u64::from(p.last_op_result.is_some()));
-            out.push(p.last_op_result.unwrap_or(0));
-            out.push(u64::from(p.last_return.is_some()));
-            out.push(p.last_return.unwrap_or(0));
-            out.extend([
-                p.stats.steps,
-                p.stats.accesses,
-                p.stats.rmrs,
-                p.stats.messages,
-                p.stats.calls_completed,
-            ]);
+            u64::from(p.last_op_result.is_some()),
+            p.last_op_result.unwrap_or(0),
+            u64::from(p.last_return.is_some()),
+            p.last_return.unwrap_or(0),
+            p.stats.steps,
+            p.stats.accesses,
+            p.stats.rmrs,
+            p.stats.messages,
+            p.stats.calls_completed,
+        ]
+    }
+
+    /// Cell `addr`'s words of [`Simulator::state_words`]: its value and last
+    /// writer. Only an access to `addr` changes them.
+    #[inline]
+    fn cell_words(&self, addr: Addr) -> [u64; CELL_WORDS] {
+        [
+            self.memory.peek(addr),
+            self.memory
+                .last_writer(addr)
+                .map_or(0, |p| 1 + u64::from(p.0)),
+        ]
+    }
+
+    /// Number of [`Simulator::state_words`] before the cost-model words.
+    fn fixed_words(&self) -> usize {
+        PROC_WORDS * self.procs.len() + CELL_WORDS * self.memory.len()
+    }
+
+    /// The state words a step of `pid` can change, read before the step:
+    /// `pid`'s own and, when the step accesses memory, those of the cell at
+    /// `addr` (`None` for a step that returns or terminates). Hand the
+    /// result to [`StateHasher::advance`] once the step is taken.
+    #[must_use]
+    #[inline]
+    pub fn step_words(&self, pid: ProcId, addr: Option<Addr>) -> StepWords {
+        StepWords {
+            pid,
+            proc: self.proc_words(pid),
+            cell: addr.map(|a| (a, self.cell_words(a))),
         }
-        for a in 0..self.memory.len() {
-            let addr = crate::ids::Addr(a as u32);
-            out.push(self.memory.peek(addr));
-            out.push(
-                self.memory
-                    .last_writer(addr)
-                    .map_or(0, |p| 1 + u64::from(p.0)),
-            );
-        }
-        self.cost.encode_state(out);
     }
 
     /// A 128-bit fingerprint of [`Simulator::state_words`] (same polynomial
     /// family as the history projection fingerprints). Equal fingerprints
     /// certify behaviorally identical simulator states up to hash collision;
     /// the explorer's debug fallback compares the full word encodings.
+    /// [`StateHasher`] computes the same value in time proportional to
+    /// what one step changed.
     #[must_use]
     pub fn state_fingerprint(&self) -> u128 {
         crate::event::fingerprint_words(&self.state_words())
@@ -1441,6 +1481,147 @@ impl Simulator {
         } else {
             None
         }
+    }
+}
+
+/// Words each process contributes to [`Simulator::state_words`].
+const PROC_WORDS: usize = 13;
+
+/// Words each memory cell contributes to [`Simulator::state_words`].
+const CELL_WORDS: usize = 2;
+
+/// The words one step can change, read before the step by
+/// [`Simulator::step_words`] and consumed by [`StateHasher::advance`].
+#[derive(Clone, Copy, Debug)]
+pub struct StepWords {
+    pid: ProcId,
+    proc: [u64; PROC_WORDS],
+    cell: Option<(Addr, [u64; CELL_WORDS])>,
+}
+
+/// The part of a state's fingerprint that its process and cell words make
+/// up (see [`StateHasher`]). Only a hasher makes or advances one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StateSum(u128);
+
+/// [`Simulator::state_fingerprint`] kept up to date one step at a time.
+///
+/// The fingerprint of the words `w_0 .. w_{L-1}` is the polynomial
+/// `mix64(L)·M^L + Σ mix64(w_i)·M^(L-1-i)` mod 2^128. The first `P` words,
+/// 13 per process and then 2 per memory cell, sit at fixed positions; the
+/// `ℓ = L - P` cost-model words after them vary in number.
+/// So the fingerprint is `mix64(L)·M^L + S·M^ℓ + (the cost-model words
+/// folded alone)`, where the [`StateSum`] `S = Σ_{i<P} mix64(w_i)·M^(P-1-i)`.
+///
+/// A step of `pid` changes only pid's words and those of the cell it
+/// accesses; every other word keeps its value and so its term. The next
+/// state's sum is therefore the last one plus, for each word the step
+/// changed, `(mix64(new) - mix64(old))·M^(P-1-i)` — exact, not an
+/// approximation, because the polynomial is linear in its terms.
+/// [`StateHasher::fingerprint`] then folds in the cost-model words (none
+/// under DSM) and the length term.
+#[derive(Clone, Debug, Default)]
+pub struct StateHasher {
+    /// `pow[k] = M^k`, grown on demand to the longest encoding seen: at
+    /// most twice the size of the encoding itself.
+    pow: Vec<u128>,
+    /// Scratch for the cost-model words.
+    suffix: Vec<u64>,
+}
+
+impl StateHasher {
+    /// A hasher with no powers computed yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `M^k`.
+    fn pow(&mut self, k: usize) -> u128 {
+        if self.pow.is_empty() {
+            self.pow.push(1);
+        }
+        while self.pow.len() <= k {
+            let last = self.pow[self.pow.len() - 1];
+            self.pow.push(last.wrapping_mul(crate::event::FP_MUL));
+        }
+        self.pow[k]
+    }
+
+    /// The sum of `sim`'s process and cell terms, folded from scratch:
+    /// O(processes + cells). A walk computes it once, at its root, and
+    /// [`StateHasher::advance`]s it from there.
+    #[must_use]
+    pub fn sum(&self, sim: &Simulator) -> StateSum {
+        let mut h = 0;
+        for i in 0..sim.procs.len() {
+            for w in sim.proc_words(ProcId(i as u32)) {
+                h = crate::event::fp_absorb(h, w);
+            }
+        }
+        for a in 0..sim.memory.len() {
+            for w in sim.cell_words(Addr(a as u32)) {
+                h = crate::event::fp_absorb(h, w);
+            }
+        }
+        StateSum(h)
+    }
+
+    /// The sum of `sim`'s state, one step after the state whose sum is
+    /// `sum` and whose words `before` was read from. Only the terms of the
+    /// words that step changed are recomputed.
+    #[must_use]
+    #[inline]
+    pub fn advance(&mut self, sim: &Simulator, sum: StateSum, before: &StepWords) -> StateSum {
+        // Word `i` carries `M^(top - i)`.
+        let top = sim.fixed_words() - 1;
+        let mut h = sum.0;
+        let base = PROC_WORDS * before.pid.index();
+        for (j, (&old, new)) in before
+            .proc
+            .iter()
+            .zip(sim.proc_words(before.pid))
+            .enumerate()
+        {
+            if old != new {
+                h = h.wrapping_add(self.term_change(old, new, top - (base + j)));
+            }
+        }
+        if let Some((addr, cell)) = before.cell {
+            let base = PROC_WORDS * sim.procs.len() + CELL_WORDS * addr.index();
+            for (j, (&old, new)) in cell.iter().zip(sim.cell_words(addr)).enumerate() {
+                if old != new {
+                    h = h.wrapping_add(self.term_change(old, new, top - (base + j)));
+                }
+            }
+        }
+        StateSum(h)
+    }
+
+    /// How a word's term moves when its value goes from `old` to `new` at
+    /// weight `M^exp`.
+    fn term_change(&mut self, old: u64, new: u64, exp: usize) -> u128 {
+        let mixed = |w| u128::from(crate::rng::mix64(w));
+        mixed(new)
+            .wrapping_sub(mixed(old))
+            .wrapping_mul(self.pow(exp))
+    }
+
+    /// `sim`'s [`Simulator::state_fingerprint`], given the sum of its
+    /// process and cell terms: folds in the cost-model words and the length
+    /// term, O(cost-model words).
+    #[must_use]
+    pub fn fingerprint(&mut self, sim: &Simulator, sum: StateSum) -> u128 {
+        let mut suffix = std::mem::take(&mut self.suffix);
+        suffix.clear();
+        sim.cost.encode_state(&mut suffix);
+        let mut h = sum.0;
+        for &w in &suffix {
+            h = crate::event::fp_absorb(h, w);
+        }
+        let len = sim.fixed_words() + suffix.len();
+        self.suffix = suffix;
+        h.wrapping_add(u128::from(crate::rng::mix64(len as u64)).wrapping_mul(self.pow(len)))
     }
 }
 
