@@ -1538,12 +1538,12 @@ impl StateHasher {
 
     /// `M^k`.
     fn pow(&mut self, k: usize) -> u128 {
-        if self.pow.is_empty() {
-            self.pow.push(1);
-        }
         while self.pow.len() <= k {
-            let last = self.pow[self.pow.len() - 1];
-            self.pow.push(last.wrapping_mul(crate::event::FP_MUL));
+            let next = self
+                .pow
+                .last()
+                .map_or(1, |&p| p.wrapping_mul(crate::event::FP_MUL));
+            self.pow.push(next);
         }
         self.pow[k]
     }
@@ -1612,15 +1612,13 @@ impl StateHasher {
     /// term, O(cost-model words).
     #[must_use]
     pub fn fingerprint(&mut self, sim: &Simulator, sum: StateSum) -> u128 {
-        let mut suffix = std::mem::take(&mut self.suffix);
-        suffix.clear();
-        sim.cost.encode_state(&mut suffix);
+        self.suffix.clear();
+        sim.cost.encode_state(&mut self.suffix);
         let mut h = sum.0;
-        for &w in &suffix {
+        for &w in &self.suffix {
             h = crate::event::fp_absorb(h, w);
         }
-        let len = sim.fixed_words() + suffix.len();
-        self.suffix = suffix;
+        let len = sim.fixed_words() + self.suffix.len();
         h.wrapping_add(u128::from(crate::rng::mix64(len as u64)).wrapping_mul(self.pow(len)))
     }
 }
