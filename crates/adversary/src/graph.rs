@@ -7,6 +7,12 @@
 //! minimum-degree vertex, discard its neighbours) achieves that bound, which
 //! the proof uses with d̄ ≤ 4 (sees/touches graph) and d̄ ≤ 2 (prior-writer
 //! graph).
+//!
+//! The greedy keeps the vertices still in play in a queue ordered by
+//! (degree, pid), so each pick pops the minimum and each neighbour whose
+//! degree drops is re-keyed: O((V+E) log V) per call. Ties go to the
+//! lowest pid, so the pick sequence is the one a full scan for the
+//! minimum (degree, pid) makes before every pick.
 
 use shm_sim::ProcId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,33 +65,35 @@ impl ConflictGraph {
     /// Greedy maximum independent set: repeatedly pick a minimum-degree
     /// vertex and delete its neighbourhood.
     ///
+    /// A vertex's degree counts only its neighbours still in play, and ties
+    /// go to the lowest pid. The candidates wait in a queue ordered by
+    /// (degree, pid): each pick pops the minimum, and deleting a neighbour
+    /// re-keys each of its own neighbours still queued, so a call costs
+    /// O((V+E) log V) and picks exactly what a scan of every remaining
+    /// vertex would.
+    ///
     /// Guaranteed size ≥ n/(d̄+1) (Turán bound), which the unit and property
     /// tests verify.
     #[must_use]
     pub fn greedy_independent_set(&self) -> BTreeSet<ProcId> {
         let mut degree: BTreeMap<ProcId, usize> =
             self.adj.iter().map(|(&v, ns)| (v, ns.len())).collect();
-        let mut alive: BTreeSet<ProcId> = self.adj.keys().copied().collect();
+        let mut queue: BTreeSet<(usize, ProcId)> = degree.iter().map(|(&v, &d)| (d, v)).collect();
         let mut chosen = BTreeSet::new();
-        while let Some((&v, _)) = degree
-            .iter()
-            .filter(|(v, _)| alive.contains(v))
-            .min_by_key(|&(v, &d)| (d, *v))
-        {
+        while let Some((_, v)) = queue.pop_first() {
             chosen.insert(v);
-            alive.remove(&v);
-            let neighbours: Vec<ProcId> = self.adj[&v].iter().copied().collect();
-            for u in neighbours {
-                if alive.remove(&u) {
-                    // Removing u lowers its alive neighbours' degrees.
-                    for w in &self.adj[&u] {
-                        if let Some(d) = degree.get_mut(w) {
-                            *d = d.saturating_sub(1);
+            for u in &self.adj[&v] {
+                if queue.remove(&(degree[u], *u)) {
+                    // Deleting u lowers its queued neighbours' degrees.
+                    for w in &self.adj[u] {
+                        let d = degree.get_mut(w).expect("every neighbour is a vertex");
+                        if queue.remove(&(*d, *w)) {
+                            *d -= 1;
+                            queue.insert((*d, *w));
                         }
                     }
                 }
             }
-            degree.remove(&v);
         }
         chosen
     }
@@ -146,6 +154,51 @@ mod tests {
 
     fn p(i: u32) -> ProcId {
         ProcId(i)
+    }
+
+    /// The full-rescan greedy that the queue replaced, kept verbatim as the
+    /// reference: every pick scans all remaining vertices for the minimum
+    /// (degree, pid), O(V² log V) per call.
+    fn scan_greedy_independent_set(g: &ConflictGraph) -> BTreeSet<ProcId> {
+        let mut degree: BTreeMap<ProcId, usize> =
+            g.adj.iter().map(|(&v, ns)| (v, ns.len())).collect();
+        let mut alive: BTreeSet<ProcId> = g.adj.keys().copied().collect();
+        let mut chosen = BTreeSet::new();
+        while let Some((&v, _)) = degree
+            .iter()
+            .filter(|(v, _)| alive.contains(v))
+            .min_by_key(|&(v, &d)| (d, *v))
+        {
+            chosen.insert(v);
+            alive.remove(&v);
+            let neighbours: Vec<ProcId> = g.adj[&v].iter().copied().collect();
+            for u in neighbours {
+                if alive.remove(&u) {
+                    // Removing u lowers its alive neighbours' degrees.
+                    for w in &g.adj[&u] {
+                        if let Some(d) = degree.get_mut(w) {
+                            *d = d.saturating_sub(1);
+                        }
+                    }
+                }
+            }
+            degree.remove(&v);
+        }
+        chosen
+    }
+
+    /// The queue greedy picks the reference scan's set, which is
+    /// independent and meets the Turán bound n/(d̄+1) = n²/(2E+n).
+    fn assert_matches_scan(g: &ConflictGraph, what: &str) {
+        let set = g.greedy_independent_set();
+        assert_eq!(set, scan_greedy_independent_set(g), "{what}");
+        assert!(g.is_independent(&set), "{what}");
+        let (n, e) = (g.vertex_count(), g.edge_count());
+        assert!(
+            set.len() * (2 * e + n) >= n * n,
+            "{what}: {} below the Turán bound ({n} vertices, {e} edges)",
+            set.len()
+        );
     }
 
     #[test]
@@ -226,6 +279,77 @@ mod tests {
             let turan = (f64::from(n) / (g.average_degree() + 1.0)).floor() as usize;
             assert!(greedy.len() >= turan.max(1));
             assert!(greedy.len() <= exact.len());
+        }
+    }
+
+    #[test]
+    fn queue_greedy_matches_scan_on_random_graphs() {
+        // Release builds run ten times the cases; the scan costs about
+        // 10 ms per edgeless 1,024-vertex call there.
+        let scale = if cfg!(debug_assertions) { 1 } else { 10 };
+        let mut rng = shm_sim::XorShift64::new(0x7A2A);
+        for n in [0u32, 1, 2, 3, 17, 64, 130, 1024] {
+            let cases = if n == 1024 { 4 } else { 60 } * scale;
+            for case in 0..cases {
+                // Edge probability in per mille, up to 60 %; the sparse end
+                // is where the adversary's graphs live (d̄ ≤ 4).
+                let per_mille = *rng.choose(&[0, 1, 2, 4, 10, 50, 150, 300, 600]);
+                // Sparse, shifted pids; about one vertex in eight is left
+                // out of `new` and appears only if an edge names it.
+                let stride = rng.range_usize(1, 4) as u32;
+                let offset = rng.range_usize(0, 100) as u32;
+                let ids: Vec<ProcId> = (0..n).map(|i| p(offset + i * stride)).collect();
+                let mut g = ConflictGraph::new(ids.iter().copied().filter(|_| !rng.chance(1, 8)));
+                for (i, &a) in ids.iter().enumerate() {
+                    for &b in &ids[i + 1..] {
+                        if rng.chance(per_mille, 1000) {
+                            g.add_edge(a, b);
+                        }
+                    }
+                }
+                assert_matches_scan(&g, &format!("n={n} case={case} per_mille={per_mille}"));
+            }
+        }
+    }
+
+    #[test]
+    fn queue_greedy_matches_scan_on_shaped_graphs() {
+        for n in [1u32, 2, 3, 4, 5, 17, 64, 130] {
+            let vertices = || (0..n).map(p);
+            let isolated = ConflictGraph::new(vertices());
+            assert_matches_scan(&isolated, &format!("isolated n={n}"));
+            let mut low_hub = ConflictGraph::new(vertices());
+            let mut high_hub = ConflictGraph::new(vertices());
+            let mut path = ConflictGraph::new(vertices());
+            let mut clique = ConflictGraph::new(vertices());
+            let mut matching = ConflictGraph::new(vertices());
+            for i in 1..n {
+                low_hub.add_edge(p(0), p(i));
+                high_hub.add_edge(p(n - 1), p(i - 1));
+                path.add_edge(p(i - 1), p(i));
+                for j in 0..i {
+                    clique.add_edge(p(j), p(i));
+                }
+                if i % 2 == 1 {
+                    matching.add_edge(p(i - 1), p(i));
+                }
+            }
+            assert_matches_scan(&low_hub, &format!("star, hub 0, n={n}"));
+            assert_matches_scan(&high_hub, &format!("star, hub {}, n={n}", n - 1));
+            assert_matches_scan(&path, &format!("path n={n}"));
+            assert_matches_scan(&clique, &format!("clique n={n}"));
+            assert_matches_scan(&matching, &format!("matching n={n}"));
+            // Vertices named only by edges: a path and a matching built
+            // from the empty graph, and a star whose leaves `new` omits.
+            let mut edge_only = ConflictGraph::default();
+            let mut leaves_by_edge = ConflictGraph::new([p(n)]);
+            for i in 1..n {
+                edge_only.add_edge(p(3 * i), p(3 * (i - 1)));
+                edge_only.add_edge(p(3 * i + 1), p(3 * i + 2));
+                leaves_by_edge.add_edge(p(n), p(i));
+            }
+            assert_matches_scan(&edge_only, &format!("edge-only n={n}"));
+            assert_matches_scan(&leaves_by_edge, &format!("edge-only leaves n={n}"));
         }
     }
 }

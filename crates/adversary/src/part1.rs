@@ -241,24 +241,28 @@ impl Part1Runner {
         if batch.is_empty() {
             return true;
         }
-        let mut new_erased = self.erased.clone();
-        new_erased.extend(batch.iter().copied());
         if self.cfg.incremental {
             // Incremental path: certify from the last checkpoint before the
             // batch's first step and apply the erasure in place, so the
             // shared history prefix is never re-executed.
             // (`erase_certified_in_place` takes the *full* erased set:
             // previously erased processes have no recorded steps, so they
-            // never move the splice point.)
-            if self.sim.erase_certified_in_place(&self.spec, &new_erased) {
-                self.erased = new_erased;
-                true
-            } else {
-                false
+            // never move the splice point.) The victims join the live set
+            // for the attempt and leave it again on a refusal.
+            let victims: Vec<ProcId> = batch.difference(&self.erased).copied().collect();
+            self.erased.extend(&victims);
+            let ok = self.sim.erase_certified_in_place(&self.spec, &self.erased);
+            if !ok {
+                for q in &victims {
+                    self.erased.remove(q);
+                }
             }
+            ok
         } else {
             // Reference path: from-scratch replay + exact projection
             // comparison (what the incremental path is certified against).
+            let mut new_erased = self.erased.clone();
+            new_erased.extend(batch.iter().copied());
             let replayed = Simulator::replay(&self.spec, self.sim.schedule(), &new_erased);
             let ok = (0..self.cfg.n as u32).map(ProcId).all(|p| {
                 new_erased.contains(&p)
@@ -393,6 +397,7 @@ impl Part1Runner {
         // Phase 2: conflict resolution fixpoint. Erasing can change what a
         // pending access would observe (the last writer of its cell may
         // change), so iterate until clean.
+        let resolve_span = shm_obs::Span::enter("part1.resolve");
         for _ in 0..self.cfg.n + 2 {
             let mut to_erase: BTreeSet<ProcId> = BTreeSet::new();
             let mut graph = ConflictGraph::new(pending.keys().copied());
@@ -443,6 +448,7 @@ impl Part1Runner {
                 break;
             }
         }
+        drop(resolve_span);
 
         // Phase 3: apply surviving reads.
         let (reads, writes): (Vec<_>, Vec<_>) = pending
@@ -505,6 +511,7 @@ impl Part1Runner {
             self.finished.insert(r);
         } else {
             // Erasing case: keep one writer per variable.
+            let resolve_span = shm_obs::Span::enter("part1.resolve");
             let mut to_erase: BTreeSet<ProcId> = BTreeSet::new();
             let mut kept: Vec<ProcId> = Vec::new();
             for procs in by_addr.values() {
@@ -542,6 +549,7 @@ impl Part1Runner {
                 report.erased.insert(*q);
                 self.stable.remove(q);
             }
+            drop(resolve_span);
             let mut survivors: Vec<ProcId> = writes
                 .iter()
                 .map(|&(p, _)| p)

@@ -194,7 +194,12 @@ fn profile_aggregates_real_experiment_spans() {
         c.snapshot()
     });
     let p = shm_obs::profile(&snap);
-    for name in ["part1.round", "part1.advance", "audit.shard"] {
+    for name in [
+        "part1.round",
+        "part1.advance",
+        "part1.resolve",
+        "audit.shard",
+    ] {
         let stats = p
             .by_name
             .get(name)
