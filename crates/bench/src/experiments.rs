@@ -396,99 +396,6 @@ pub fn e7_fixed_w(sizes: &[usize]) -> Vec<E7Row> {
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn e1_cc_constant_dsm_linear() {
-        let rows = e1_cc_upper(&[4, 16], 10);
-        for r in &rows {
-            if r.model.starts_with("cc") {
-                assert!(r.max_rmrs_per_proc <= 3, "{r:?}");
-            } else {
-                assert!(r.max_rmrs_per_proc >= 10, "{r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn e4_gap_grows() {
-        let rows = e4_primitives(&[16, 64]);
-        assert!(rows[1].broadcast_amortized > rows[0].broadcast_amortized);
-        for r in &rows {
-            assert!(r.queue_amortized < 8.0, "{r:?}");
-            assert!(r.queue_blocked > 0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn e5_bus_is_at_par_and_invalidations_bounded() {
-        let rows = e5_messages(8);
-        for r in &rows {
-            assert!(r.invalidations <= r.rmrs, "{r:?}");
-            if r.interconnect == "bus" {
-                assert!(r.messages_per_rmr <= 2.0, "{r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn e7_signaler_meets_omega_w() {
-        let rows = e7_fixed_w(&[8, 16]);
-        for r in &rows {
-            assert!(r.signaler_rmrs + 1 >= r.w as u64, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn e10_catches_every_control_variant_beyond_exhaustive_reach() {
-        // One size and the full algorithm set; the bin and the CI pct job
-        // run n ∈ {8, 16, 32} in release.
-        let rows = e10_pct(&[8], 2, 0xE10);
-        assert_eq!(rows.len(), 16);
-        for r in &rows {
-            assert_eq!(r.schedules, E10_SCHEDULES, "{r:?}");
-            assert!(r.terminals > 0, "{r:?}");
-            // End-state fingerprints can all coincide (order-dependent
-            // verdicts are invisible in state), but never be absent.
-            assert!(r.distinct_fingerprints > 0, "{r:?}");
-            if r.algorithm == "seeded-buggy" {
-                assert!(
-                    r.violations_in_contract > 0,
-                    "negative control missed: {r:?}"
-                );
-                assert!(r.counterexample.is_some(), "{r:?}");
-            } else {
-                assert_eq!(r.violations_in_contract, 0, "{r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn e9_certifies_shipped_algorithms_and_catches_the_control() {
-        // Small poll budget keeps the debug-mode sweep fast; the bin and the
-        // CI explore job run the full budget (and the chase dominance check)
-        // in release.
-        let rows = e9_explore(2, 1);
-        assert_eq!(rows.len(), 12);
-        for r in &rows {
-            assert!(r.exhaustive, "{r:?}");
-            assert!(r.terminals > 0, "{r:?}");
-            if r.algorithm == "seeded-buggy" {
-                assert!(
-                    r.violations_in_contract > 0,
-                    "negative control missed: {r:?}"
-                );
-                assert!(r.counterexample.is_some());
-                assert_eq!(r.seed, Some(1));
-            } else {
-                assert_eq!(r.violations_in_contract, 0, "{r:?}");
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------- E8 ----
 
 /// E8 — Corollary 6.14: comparison primitives do not escape the bound.
@@ -784,4 +691,97 @@ pub fn e10_pct_with(
             }
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn e1_cc_constant_dsm_linear() {
+        let rows = e1_cc_upper(&[4, 16], 10);
+        for r in &rows {
+            if r.model.starts_with("cc") {
+                assert!(r.max_rmrs_per_proc <= 3, "{r:?}");
+            } else {
+                assert!(r.max_rmrs_per_proc >= 10, "{r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn e4_gap_grows() {
+        let rows = e4_primitives(&[16, 64]);
+        assert!(rows[1].broadcast_amortized > rows[0].broadcast_amortized);
+        for r in &rows {
+            assert!(r.queue_amortized < 8.0, "{r:?}");
+            assert!(r.queue_blocked > 0, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn e5_bus_is_at_par_and_invalidations_bounded() {
+        let rows = e5_messages(8);
+        for r in &rows {
+            assert!(r.invalidations <= r.rmrs, "{r:?}");
+            if r.interconnect == "bus" {
+                assert!(r.messages_per_rmr <= 2.0, "{r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn e7_signaler_meets_omega_w() {
+        let rows = e7_fixed_w(&[8, 16]);
+        for r in &rows {
+            assert!(r.signaler_rmrs + 1 >= r.w as u64, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn e10_catches_every_control_variant_beyond_exhaustive_reach() {
+        // One size and the full algorithm set; the bin and the CI pct job
+        // run n ∈ {8, 16, 32} in release.
+        let rows = e10_pct(&[8], 2, 0xE10);
+        assert_eq!(rows.len(), 16);
+        for r in &rows {
+            assert_eq!(r.schedules, E10_SCHEDULES, "{r:?}");
+            assert!(r.terminals > 0, "{r:?}");
+            // End-state fingerprints can all coincide (order-dependent
+            // verdicts are invisible in state), but never be absent.
+            assert!(r.distinct_fingerprints > 0, "{r:?}");
+            if r.algorithm == "seeded-buggy" {
+                assert!(
+                    r.violations_in_contract > 0,
+                    "negative control missed: {r:?}"
+                );
+                assert!(r.counterexample.is_some(), "{r:?}");
+            } else {
+                assert_eq!(r.violations_in_contract, 0, "{r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn e9_certifies_shipped_algorithms_and_catches_the_control() {
+        // Small poll budget keeps the debug-mode sweep fast; the bin and the
+        // CI explore job run the full budget (and the chase dominance check)
+        // in release.
+        let rows = e9_explore(2, 1);
+        assert_eq!(rows.len(), 12);
+        for r in &rows {
+            assert!(r.exhaustive, "{r:?}");
+            assert!(r.terminals > 0, "{r:?}");
+            if r.algorithm == "seeded-buggy" {
+                assert!(
+                    r.violations_in_contract > 0,
+                    "negative control missed: {r:?}"
+                );
+                assert!(r.counterexample.is_some());
+                assert_eq!(r.seed, Some(1));
+            } else {
+                assert_eq!(r.violations_in_contract, 0, "{r:?}");
+            }
+        }
+    }
 }
