@@ -7,12 +7,6 @@
 //! minimum-degree vertex, discard its neighbours) achieves that bound, which
 //! the proof uses with d̄ ≤ 4 (sees/touches graph) and d̄ ≤ 2 (prior-writer
 //! graph).
-//!
-//! The greedy keeps the vertices still in play in a queue ordered by
-//! (degree, pid), so each pick pops the minimum and each neighbour whose
-//! degree drops is re-keyed: O((V+E) log V) per call. Ties go to the
-//! lowest pid, so the pick sequence is the one a full scan for the
-//! minimum (degree, pid) makes before every pick.
 
 use shm_sim::ProcId;
 use std::collections::{BTreeMap, BTreeSet};

@@ -241,28 +241,24 @@ impl Part1Runner {
         if batch.is_empty() {
             return true;
         }
+        let mut new_erased = self.erased.clone();
+        new_erased.extend(batch.iter().copied());
         if self.cfg.incremental {
             // Incremental path: certify from the last checkpoint before the
             // batch's first step and apply the erasure in place, so the
             // shared history prefix is never re-executed.
             // (`erase_certified_in_place` takes the *full* erased set:
             // previously erased processes have no recorded steps, so they
-            // never move the splice point.) The victims join the live set
-            // for the attempt and leave it again on a refusal.
-            let victims: Vec<ProcId> = batch.difference(&self.erased).copied().collect();
-            self.erased.extend(&victims);
-            let ok = self.sim.erase_certified_in_place(&self.spec, &self.erased);
-            if !ok {
-                for q in &victims {
-                    self.erased.remove(q);
-                }
+            // never move the splice point.)
+            if self.sim.erase_certified_in_place(&self.spec, &new_erased) {
+                self.erased = new_erased;
+                true
+            } else {
+                false
             }
-            ok
         } else {
             // Reference path: from-scratch replay + exact projection
             // comparison (what the incremental path is certified against).
-            let mut new_erased = self.erased.clone();
-            new_erased.extend(batch.iter().copied());
             let replayed = Simulator::replay(&self.spec, self.sim.schedule(), &new_erased);
             let ok = (0..self.cfg.n as u32).map(ProcId).all(|p| {
                 new_erased.contains(&p)

@@ -333,23 +333,21 @@ pub fn run_signal_phase(
                     if let Some(q) = target {
                         // Tentative erase of q, certified in the rebuilt
                         // world (including s's committed signal prefix).
+                        let mut new_erased = erased.clone();
+                        new_erased.insert(q);
                         if incremental {
                             // Shares the checkpointed prefix before q's first
                             // step; survivors certified online against the
                             // recorded log, applied in place (no history
-                            // copy). q joins the erased set for the attempt
-                            // and leaves it again on a refusal.
-                            erased.insert(q);
-                            if sim.erase_certified_in_place(&runner.spec, &erased) {
+                            // copy).
+                            if sim.erase_certified_in_place(&runner.spec, &new_erased) {
+                                erased = new_erased;
                                 // Re-evaluate the same pending access in
                                 // the new world before stepping.
                                 continue;
                             }
-                            erased.remove(&q);
                             blocked_set.insert(q);
                         } else {
-                            let mut new_erased = erased.clone();
-                            new_erased.insert(q);
                             let candidate = rebuild(runner, &base, &new_erased, s, committed);
                             let consistent = (0..runner.spec.n() as u32).map(ProcId).all(|p| {
                                 new_erased.contains(&p)
