@@ -656,7 +656,7 @@ impl Part1Runner {
         self.parked
             .retain(|p| self.stable.contains(p) && !self.erased.contains(p));
         // Attribute the surviving history's access costs to the part1 phase
-        // (no-op unless an shm-obs recorder is installed).
+        // (no-op unless an shm-obs collector is installed).
         self.sim.obs_flush("part1");
         let audit = self.cfg.audit.then(|| self.sim.audit(&self.spec));
         Part1Outcome {

@@ -1,6 +1,6 @@
 //! The observability sinks of the `cc-dsm` front end: [`ObsFlags`] names
 //! the requested outputs (the front end's argv parser fills it in),
-//! [`obs_install`] installs the recorder before an experiment runs, and
+//! [`obs_install`] installs the collector before an experiment runs, and
 //! [`obs_finish`] writes the sinks and uninstalls it afterwards.
 
 /// Observability outputs requested on the command line: `--metrics
@@ -95,9 +95,9 @@ pub fn obs_install(flags: &ObsFlags) -> Option<std::sync::Arc<shm_obs::Collector
 }
 
 /// Writes the requested sinks from the collector installed by
-/// [`obs_install`] and uninstalls the recorder. No-op when `collector` is
+/// [`obs_install`] and uninstalls it. No-op when `collector` is
 /// `None`. A sink that cannot be written stops the rest and comes back as
-/// `write PATH: ERR`; the recorder is uninstalled either way.
+/// `write PATH: ERR`; the collector is uninstalled either way.
 pub fn obs_finish(
     flags: &ObsFlags,
     collector: Option<&std::sync::Arc<shm_obs::Collector>>,
@@ -109,7 +109,7 @@ pub fn obs_finish(
         }
         Ok(())
     };
-    // Drain the progress sink before uninstalling the recorder: rendering
+    // Drain the progress sink before uninstalling the collector: rendering
     // happens here, so the frame stream is sorted (deterministic order)
     // whatever order workers emitted in. Progress needs no collector.
     let progress_out = shm_obs::progress::finish();

@@ -9,7 +9,7 @@ use signaling::algorithms::CcFlag;
 use signaling::{Role, Scenario};
 use std::sync::Mutex;
 
-/// The obs recorder slot is process-global; tests installing collectors
+/// The installed obs collector is process-global; tests installing collectors
 /// must not overlap.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 

@@ -4,9 +4,14 @@
 //! constraints come from the repo's determinism contract:
 //!
 //! * **Zero-cost when disabled.** All instrumentation goes through free
-//!   functions ([`count`], [`Span::enter`]) that check one relaxed atomic
-//!   load and return immediately when no [`Recorder`] is installed. The
-//!   default recorder is a no-op; hot loops pay one predictable branch.
+//!   functions ([`count`], [`Span::enter`]) that load one atomic, the
+//!   installed [`Collector`]'s epoch (0 = none), and return at once when it
+//!   is 0; hot loops pay one predictable branch.
+//! * **One recording path.** With a collector installed, a probe writes
+//!   straight into its thread's track buffer, a handle cached per thread and
+//!   reused while the cached epoch is the installed one and the cached path
+//!   is the thread's track path. Only a miss (a new track, a new collector)
+//!   takes the process-wide lock on the installed collector.
 //! * **Deterministic merging.** Recording threads write into *track*-local
 //!   buffers. A track is a path of submission indices (`[2, 1]` = shard 1
 //!   of row job 2) maintained by `shm-pool`: the pool pushes the job index
@@ -19,10 +24,12 @@
 //!   RMRs can be charged "to the signaler during the chase under DSM"
 //!   rather than to a single global bucket (§8's RMR-vs-messages
 //!   distinction needs exactly this).
-//! * **Declared nondeterminism.** Scheduling-dependent counters (the
-//!   pool's steal/idle counts) are registered as nondeterministic in
-//!   [`registry`] and excluded from the deterministic sinks
-//!   ([`MetricsReport`], the no-wall JSONL stream, `--canon` obs blocks).
+//! * **Declared nondeterminism.** Six scheduling- or input-dependent
+//!   counters (progress frames, the pool's execute/steal/idle counts, the
+//!   job server's jobs and dedup hits) are named in
+//!   [`registry::is_deterministic`] and excluded from the deterministic
+//!   sinks ([`MetricsReport`], the no-wall JSONL stream, `--canon` obs
+//!   blocks); every other name is deterministic.
 //!
 //! Three sinks consume a [`Collector`] snapshot: the in-memory
 //! [`MetricsReport`] (canonical JSON, byte-identical across thread counts),
@@ -43,8 +50,8 @@ pub use report::{jsonl, MetricsReport};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 // ------------------------------------------------------------------ keys ----
@@ -54,8 +61,8 @@ use std::time::Instant;
 /// dimensions they care about.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CounterKey {
-    /// Counter name from the [`registry`] (free-form names are allowed but
-    /// get the registry's defaults: deterministic, no help text).
+    /// Counter name (any static name; [`registry::is_deterministic`] says
+    /// whether the deterministic sinks keep it).
     pub name: &'static str,
     /// Phase scope, e.g. `part1` / `chase` / `discovery`.
     pub scope: Option<&'static str>,
@@ -131,316 +138,66 @@ pub struct Snapshot {
 
 // ------------------------------------------------------------- registry ----
 
-/// Static registry of the workspace's counters. Names not listed here are
-/// accepted and treated as deterministic.
+/// Which counters the deterministic sinks drop.
 pub mod registry {
-    /// One registered counter.
-    pub struct CounterDef {
-        /// Counter name.
-        pub name: &'static str,
-        /// Whether the counter's value is a pure function of the workload
-        /// (thread-count and scheduling independent). Nondeterministic
-        /// counters are excluded from the deterministic sinks.
-        pub deterministic: bool,
-        /// One-line description.
-        pub help: &'static str,
-    }
-
-    /// The registered counters, in canonical order.
-    pub const COUNTERS: &[CounterDef] = &[
-        CounterDef {
-            name: "sim.steps",
-            deterministic: true,
-            help: "simulator state-machine transitions executed (includes replay work)",
-        },
-        CounterDef {
-            name: "sim.rmr",
-            deterministic: true,
-            help: "remote memory references in a flushed final history",
-        },
-        CounterDef {
-            name: "sim.local",
-            deterministic: true,
-            help: "local (non-RMR) accesses in a flushed final history",
-        },
-        CounterDef {
-            name: "sim.inval",
-            deterministic: true,
-            help: "cache invalidations in a flushed final history",
-        },
-        CounterDef {
-            name: "ckpt.snapshot",
-            deterministic: true,
-            help: "checkpoints captured",
-        },
-        CounterDef {
-            name: "ckpt.restore",
-            deterministic: true,
-            help: "checkpoint restores",
-        },
-        CounterDef {
-            name: "replay.steps",
-            deterministic: true,
-            help: "schedule entries re-stepped by the erasure re-step path",
-        },
-        CounterDef {
-            name: "erase.surgery",
-            deterministic: true,
-            help: "erasures applied by DSM event-walk surgery",
-        },
-        CounterDef {
-            name: "erase.replay",
-            deterministic: true,
-            help: "erasures applied by the re-step path (CC models)",
-        },
-        CounterDef {
-            name: "erase.refused",
-            deterministic: true,
-            help: "erasures refused by projection certification",
-        },
-        CounterDef {
-            name: "erase.walk_events",
-            deterministic: true,
-            help: "history events visited by the DSM erasure certification walk",
-        },
-        CounterDef {
-            name: "fingerprint.exact_check",
-            deterministic: true,
-            help: "exact projection cross-checks of the rolling-hash fingerprints",
-        },
-        CounterDef {
-            name: "audit.shards",
-            deterministic: true,
-            help: "differential-audit shards walked",
-        },
-        CounterDef {
-            name: "audit.steps",
-            deterministic: true,
-            help: "schedule steps shadow-executed by the audit",
-        },
-        CounterDef {
-            name: "audit.events",
-            deterministic: true,
-            help: "recorded events diffed by the audit",
-        },
-        CounterDef {
-            name: "audit.rmr",
-            deterministic: true,
-            help: "RMRs re-priced by the audit's naive shadow executor",
-        },
-        CounterDef {
-            name: "part1.rounds",
-            deterministic: true,
-            help: "Part-1 adversary rounds executed",
-        },
-        CounterDef {
-            name: "part1.rollforward",
-            deterministic: true,
-            help: "Part-1 rounds that hit the roll-forward case",
-        },
-        CounterDef {
-            name: "part2.rmr.signaler",
-            deterministic: true,
-            help: "RMRs attributed to the signaler in a Part-2 phase",
-        },
-        CounterDef {
-            name: "part2.rmr.waiters",
-            deterministic: true,
-            help: "RMRs attributed to waiters in a Part-2 phase",
-        },
-        CounterDef {
-            name: "part2.erased",
-            deterministic: true,
-            help: "stable waiters erased during the wild goose chase",
-        },
-        CounterDef {
-            name: "part2.blocked",
-            deterministic: true,
-            help: "chase erasures blocked by certification",
-        },
-        CounterDef {
-            name: "explore.states",
-            deterministic: true,
-            help: "schedule-space states expanded by the explorer",
-        },
-        CounterDef {
-            name: "explore.dedup",
-            deterministic: true,
-            help: "child states pruned by state-fingerprint deduplication",
-        },
-        CounterDef {
-            name: "explore.sleep_pruned",
-            deterministic: true,
-            help: "transitions skipped by sleep-set partial-order reduction",
-        },
-        CounterDef {
-            name: "explore.bound_pruned",
-            deterministic: true,
-            help: "transitions cut by the depth or preemption bound",
-        },
-        CounterDef {
-            name: "explore.terminals",
-            deterministic: true,
-            help: "terminal (all-processes-done) states reached by the explorer",
-        },
-        CounterDef {
-            name: "explore.violations",
-            deterministic: true,
-            help: "oracle-violating states found by the explorer",
-        },
-        CounterDef {
-            name: "explore.shrink_replays",
-            deterministic: true,
-            help: "candidate replays tried by counterexample shrinking",
-        },
-        CounterDef {
-            name: "store.hot_hits",
-            deterministic: true,
-            help: "visited-store dedup hits answered by the hot in-memory tier",
-        },
-        CounterDef {
-            name: "store.cold_probes",
-            deterministic: true,
-            help: "visited-store disk-run probes (prefilter passes; includes false positives)",
-        },
-        CounterDef {
-            name: "store.spilled_bytes",
-            deterministic: true,
-            help: "delta-compressed bytes spilled to disk (visited runs + packed frontier nodes)",
-        },
-        CounterDef {
-            name: "store.runs_merged",
-            deterministic: true,
-            help: "cold runs consumed by log-structured k-way merges",
-        },
-        CounterDef {
-            name: "progress.frames",
-            deterministic: false,
-            help: "progress frames emitted (which worker crosses a cadence boundary is scheduling-dependent)",
-        },
-        CounterDef {
-            name: "pool.execute",
-            deterministic: false,
-            help: "jobs executed per worker lane",
-        },
-        CounterDef {
-            name: "pool.steal",
-            deterministic: false,
-            help: "jobs stolen from another worker's queue",
-        },
-        CounterDef {
-            name: "pool.idle",
-            deterministic: false,
-            help: "steal sweeps that found no work",
-        },
-        CounterDef {
-            name: "serve.jobs",
-            deterministic: false,
-            help: "submissions processed by the job server (external-input driven)",
-        },
-        CounterDef {
-            name: "serve.dedup",
-            deterministic: false,
-            help: "resubmissions served from the results store without re-execution",
-        },
+    /// The counters whose values depend on scheduling or on outside input:
+    /// which worker crosses a progress cadence boundary, which lane runs or
+    /// steals a job, what a job server was sent.
+    const NONDETERMINISTIC: [&str; 6] = [
+        "progress.frames",
+        "pool.execute",
+        "pool.steal",
+        "pool.idle",
+        "serve.jobs",
+        "serve.dedup",
     ];
 
-    /// Whether `name` is registered as deterministic (unregistered names
-    /// default to deterministic).
+    /// Whether `name` is a pure function of the workload, independent of
+    /// thread count and scheduling. Every name but the six nondeterministic
+    /// ones (`progress.frames`, `pool.{execute,steal,idle}`,
+    /// `serve.{jobs,dedup}`) is.
     #[must_use]
     pub fn is_deterministic(name: &str) -> bool {
-        COUNTERS
-            .iter()
-            .find(|c| c.name == name)
-            .is_none_or(|c| c.deterministic)
+        !NONDETERMINISTIC.contains(&name)
     }
 }
 
-// ------------------------------------------------------------- recorder ----
+// ------------------------------------------------------------ installed ----
 
-/// Consumer of instrumentation events. The default recorder is a no-op;
-/// [`Collector`] is the buffering implementation behind every sink.
-pub trait Recorder: Send + Sync {
-    /// A span named `name` opened on the current thread.
-    fn span_begin(&self, name: &'static str);
-    /// The innermost open span named `name` closed on the current thread.
-    fn span_end(&self, name: &'static str);
-    /// `delta` added to the counter cell `key`.
-    fn count(&self, key: CounterKey, delta: u64);
-    /// A counter-series sample: `name` had `value` at the call's wall time.
-    /// Default: dropped (kept a defaulted method so existing recorders stay
-    /// source-compatible).
-    fn sample(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
-    }
-}
+/// Epoch of the installed [`Collector`], 0 when none is. Every probe loads
+/// it first; a disabled probe loads nothing else. Relaxed loads suffice:
+/// the epoch publishes no data, since a hit writes only into the buffer
+/// this thread cached and a miss reads the collector under its lock.
+static INSTALLED: AtomicU64 = AtomicU64::new(0);
 
-/// The no-op default recorder (every method does nothing).
-pub struct NoopRecorder;
+/// The installed collector itself, read only when a thread's cached buffer
+/// misses (see `record`) and by [`collector`].
+static COLLECTOR: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
 
-impl Recorder for NoopRecorder {
-    fn span_begin(&self, _name: &'static str) {}
-    fn span_end(&self, _name: &'static str) {}
-    fn count(&self, _key: CounterKey, _delta: u64) {}
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-#[allow(clippy::type_complexity)]
-fn recorder_slot() -> &'static RwLock<Option<Arc<dyn Recorder>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn Recorder>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-fn collector_slot() -> &'static RwLock<Option<Arc<Collector>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<Collector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Whether a recorder is installed. Instrumentation sites branch on this;
+/// Whether a collector is installed. Instrumentation sites branch on this;
 /// it is the *only* cost they pay when observability is off.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    INSTALLED.load(Ordering::Relaxed) != 0
 }
 
-/// Installs `r` as the process-wide recorder.
-pub fn install(r: Arc<dyn Recorder>) {
-    *recorder_slot().write().unwrap() = Some(r);
-    *collector_slot().write().unwrap() = None;
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Installs a [`Collector`] as the process-wide recorder, keeping a typed
-/// handle so sinks and [`totals_mark`] can reach it.
+/// Installs `c` as the process-wide collector.
 pub fn install_collector(c: &Arc<Collector>) {
-    *recorder_slot().write().unwrap() = Some(Arc::clone(c) as Arc<dyn Recorder>);
-    *collector_slot().write().unwrap() = Some(Arc::clone(c));
-    ENABLED.store(true, Ordering::SeqCst);
+    *COLLECTOR.write().expect("collector slot poisoned") = Some(Arc::clone(c));
+    INSTALLED.store(c.epoch, Ordering::SeqCst);
 }
 
-/// Uninstalls any recorder (instrumentation reverts to the no-op default).
+/// Uninstalls the collector (instrumentation goes inert again).
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *recorder_slot().write().unwrap() = None;
-    *collector_slot().write().unwrap() = None;
+    INSTALLED.store(0, Ordering::SeqCst);
+    *COLLECTOR.write().expect("collector slot poisoned") = None;
 }
 
-/// The installed [`Collector`], if the recorder was installed via
-/// [`install_collector`].
+/// The installed [`Collector`], if any.
 #[must_use]
 pub fn collector() -> Option<Arc<Collector>> {
-    collector_slot().read().unwrap().clone()
-}
-
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
-    if suppressed() {
-        return;
-    }
-    if let Some(r) = recorder_slot().read().unwrap().as_ref() {
-        f(&**r);
-    }
+    COLLECTOR.read().expect("collector slot poisoned").clone()
 }
 
 thread_local! {
@@ -580,7 +337,7 @@ impl Span {
         if !enabled() || suppressed() {
             return Span { name: None };
         }
-        with_recorder(|r| r.span_begin(name));
+        span_event(name, true);
         Span { name: Some(name) }
     }
 }
@@ -588,9 +345,21 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(name) = self.name {
-            with_recorder(|r| r.span_end(name));
+            span_event(name, false);
         }
     }
+}
+
+fn span_event(name: &'static str, begin: bool) {
+    let lane = LANE.with(Cell::get);
+    record(|buf, base| {
+        buf.spans.push(SpanEvent {
+            name,
+            begin,
+            lane,
+            t_ns: nanos_since(base),
+        });
+    });
 }
 
 /// Adds `delta` to the unattributed counter `name`. Zero deltas are
@@ -598,7 +367,7 @@ impl Drop for Span {
 #[inline]
 pub fn count(name: &'static str, delta: u64) {
     if delta > 0 && enabled() {
-        with_recorder(|r| r.count(CounterKey::plain(name), delta));
+        record(|buf, _| *buf.counters.entry(CounterKey::plain(name)).or_default() += delta);
     }
 }
 
@@ -607,7 +376,7 @@ pub fn count(name: &'static str, delta: u64) {
 #[inline]
 pub fn count_key(key: CounterKey, delta: u64) {
     if delta > 0 && enabled() {
-        with_recorder(|r| r.count(key, delta));
+        record(|buf, _| *buf.counters.entry(key).or_default() += delta);
     }
 }
 
@@ -617,7 +386,13 @@ pub fn count_key(key: CounterKey, delta: u64) {
 #[inline]
 pub fn sample(name: &'static str, value: u64) {
     if enabled() {
-        with_recorder(|r| r.sample(name, value));
+        record(|buf, base| {
+            buf.samples.push(CounterSample {
+                name,
+                t_ns: nanos_since(base),
+                value,
+            });
+        });
     }
 }
 
@@ -648,16 +423,61 @@ macro_rules! counter {
 
 static COLLECTOR_EPOCH: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    /// Per-thread cache of the buffer for (collector epoch, track path) so
-    /// steady-state recording takes one uncontended mutex, not the registry
-    /// lock.
-    #[allow(clippy::type_complexity)]
-    static BUF_CACHE: RefCell<Option<(u64, Vec<u32>, Arc<Mutex<TrackData>>)>> =
-        const { RefCell::new(None) };
+/// A thread's handle on its track buffer in one collector.
+struct CachedBuf {
+    epoch: u64,
+    path: Vec<u32>,
+    base: Instant,
+    buf: Arc<Mutex<TrackData>>,
 }
 
-/// The buffering recorder: track-local buffers, merged deterministically by
+thread_local! {
+    /// The buffer of the last (collector epoch, track path) this thread
+    /// recorded into, so steady-state recording takes one uncontended
+    /// mutex and no process-wide lock.
+    static BUF_CACHE: RefCell<Option<CachedBuf>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the current thread's track buffer in the installed collector,
+/// with that collector's clock base. Nothing happens when no collector is
+/// installed or recording is suppressed. A cached buffer is used when its
+/// epoch is the installed one and its path is the thread's track path;
+/// otherwise the buffer is looked up (or made) under the collector's locks
+/// and cached.
+fn record(f: impl FnOnce(&mut TrackData, Instant)) {
+    let epoch = INSTALLED.load(Ordering::Relaxed);
+    if epoch == 0 || suppressed() {
+        return;
+    }
+    BUF_CACHE.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let hit = cache
+            .as_ref()
+            .is_some_and(|c| c.epoch == epoch && TRACK.with(|t| *t.borrow() == c.path));
+        if !hit {
+            let Some(collector) = collector() else {
+                return;
+            };
+            let path = track_path();
+            let mut tracks = collector.tracks.lock().expect("track map poisoned");
+            let buf = Arc::clone(tracks.entry(path.clone()).or_default());
+            *cache = Some(CachedBuf {
+                epoch: collector.epoch,
+                path,
+                base: collector.base,
+                buf,
+            });
+        }
+        let c = cache.as_ref().expect("filled above");
+        f(&mut c.buf.lock().expect("track buffer poisoned"), c.base);
+    });
+}
+
+fn nanos_since(base: Instant) -> u64 {
+    u64::try_from(base.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The recording sink: track-local buffers, merged deterministically by
 /// track path (submission-index order) at [`Collector::snapshot`] time.
 pub struct Collector {
     epoch: u64,
@@ -676,36 +496,6 @@ impl Collector {
         })
     }
 
-    fn buffer(&self) -> Arc<Mutex<TrackData>> {
-        BUF_CACHE.with(|cache| {
-            // Hot path: compare the current track path against the cached one
-            // in place (no allocation) before falling back to the registry.
-            {
-                let cache = cache.borrow();
-                if let Some((epoch, cached_path, buf)) = cache.as_ref() {
-                    if *epoch == self.epoch && TRACK.with(|t| *t.borrow() == *cached_path) {
-                        return Arc::clone(buf);
-                    }
-                }
-            }
-            let path = track_path();
-            let buf = Arc::clone(self.tracks.lock().unwrap().entry(path.clone()).or_default());
-            *cache.borrow_mut() = Some((self.epoch, path, Arc::clone(&buf)));
-            buf
-        })
-    }
-
-    fn span_event(&self, name: &'static str, begin: bool) {
-        let t_ns = u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let lane = LANE.with(Cell::get);
-        self.buffer().lock().unwrap().spans.push(SpanEvent {
-            name,
-            begin,
-            lane,
-            t_ns,
-        });
-    }
-
     /// Deterministic snapshot: tracks in lexicographic path order, counters
     /// in key order. Non-destructive.
     #[must_use]
@@ -716,17 +506,6 @@ impl Collector {
                 .iter()
                 .map(|(path, buf)| (path.clone(), buf.lock().unwrap().clone()))
                 .collect(),
-        }
-    }
-
-    /// Clears all recorded data in place (buffers stay registered, so
-    /// cached handles on other threads remain valid).
-    pub fn clear(&self) {
-        for buf in self.tracks.lock().unwrap().values() {
-            let mut buf = buf.lock().unwrap();
-            buf.spans.clear();
-            buf.counters.clear();
-            buf.samples.clear();
         }
     }
 
@@ -746,35 +525,6 @@ impl Collector {
             }
         }
         totals
-    }
-}
-
-impl Recorder for Collector {
-    fn span_begin(&self, name: &'static str) {
-        self.span_event(name, true);
-    }
-
-    fn span_end(&self, name: &'static str) {
-        self.span_event(name, false);
-    }
-
-    fn count(&self, key: CounterKey, delta: u64) {
-        *self
-            .buffer()
-            .lock()
-            .unwrap()
-            .counters
-            .entry(key)
-            .or_default() += delta;
-    }
-
-    fn sample(&self, name: &'static str, value: u64) {
-        let t_ns = u64::try_from(self.base.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.buffer()
-            .lock()
-            .unwrap()
-            .samples
-            .push(CounterSample { name, t_ns, value });
     }
 }
 
@@ -828,9 +578,9 @@ impl TotalsMark {
     }
 }
 
-/// The one lock every test that touches the process-wide recorder takes.
+/// The one lock every test that touches the process-wide collector takes.
 /// The collector tests below and the progress-sink tests in [`progress`]
-/// share the recorder, so without it a progress test's frames would count
+/// share the installed state, so without it a progress test's frames would count
 /// into a collector another test installed.
 #[cfg(test)]
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -997,23 +747,59 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_but_keeps_buffers_live() {
-        with_collector(|c| {
-            counter!("sim.rmr", 3);
-            c.clear();
-            counter!("sim.rmr", 2);
-            let snap = c.snapshot();
-            let total: u64 = snap.tracks[0].1.counters.values().sum();
-            assert_eq!(total, 2);
+    fn a_thread_outliving_a_collector_switch_records_into_the_installed_one() {
+        // The worker's first record caches its buffer in A; after the switch
+        // that cache must miss (B's epoch differs), and after the last
+        // uninstall nothing may land anywhere.
+        let _guard = TEST_LOCK.lock().unwrap();
+        let (a, b) = (Collector::new(), Collector::new());
+        install_collector(&a);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            for delta in [1, 2, 4] {
+                go_rx.recv().unwrap();
+                counter!("sim.rmr", delta);
+                drop(Span::enter("rec"));
+                done_tx.send(()).unwrap();
+            }
         });
+        go_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+        uninstall();
+        install_collector(&b);
+        go_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+        uninstall();
+        go_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+        worker.join().unwrap();
+        for (c, want) in [(&a, 1), (&b, 2)] {
+            assert_eq!(c.subtree_totals(&[]).get("sim.rmr"), Some(&want));
+            let spans: usize = c.snapshot().tracks.iter().map(|(_, d)| d.spans.len()).sum();
+            assert_eq!(spans, 2, "one span, begin and end");
+        }
     }
 
     #[test]
     fn registry_flags_pool_counters_nondeterministic() {
-        assert!(registry::is_deterministic("sim.rmr"));
-        assert!(registry::is_deterministic("some.unregistered.counter"));
-        assert!(!registry::is_deterministic("pool.steal"));
-        assert!(!registry::is_deterministic("pool.idle"));
-        assert!(!registry::is_deterministic("pool.execute"));
+        for name in [
+            "progress.frames",
+            "pool.execute",
+            "pool.steal",
+            "pool.idle",
+            "serve.jobs",
+            "serve.dedup",
+        ] {
+            assert!(!registry::is_deterministic(name), "{name}");
+        }
+        for name in [
+            "sim.rmr",
+            "pct.steps",
+            "explore.states",
+            "some.unregistered.counter",
+        ] {
+            assert!(registry::is_deterministic(name), "{name}");
+        }
     }
 }

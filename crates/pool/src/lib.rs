@@ -25,7 +25,7 @@
 //! - **Thread-count resolution.** [`threads`] resolves, in order: an explicit
 //!   [`set_threads`] call, the `CC_DSM_THREADS` environment variable, then
 //!   [`std::thread::available_parallelism`].
-//! - **Observability.** When an `shm-obs` recorder is installed, every job
+//! - **Observability.** When an `shm-obs` collector is installed, every job
 //!   runs under track segment `i` (its submission index) wrapped in a
 //!   `pool.job` span — identically on the serial and parallel paths, so the
 //!   deterministic view of the recording is thread-count independent.
@@ -241,7 +241,7 @@ mod tests {
     fn obs_recording_is_thread_count_independent() {
         // Deterministic view of a recorded fan-out (track set, span names,
         // deterministic counters) must not depend on the worker count. The
-        // recorder is process-global, so scope this test's data under a
+        // collector is process-global, so scope this test's data under a
         // unique track prefix and compare relative to it.
         let collector = shm_obs::Collector::new();
         shm_obs::install_collector(&collector);
