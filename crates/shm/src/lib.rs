@@ -90,7 +90,7 @@ pub use sched::{
     Solo,
 };
 pub use sim::{
-    Checkpoint, Peek, ProcStats, SimSpec, Simulator, StateHasher, StateSum, Status, StepReport,
+    Checkpoint, ProcStats, SimSpec, Simulator, StateHasher, StateSum, Status, StepReport,
     StepWords, Totals, TransitionPeek,
 };
 pub use source::{CallFactory, CallSource, Chain, Idle, RepeatUntil, Script, ScriptedCall};

@@ -120,19 +120,6 @@ pub enum TransitionPeek {
     NotRunnable,
 }
 
-/// What the next effective step of a process will be (computed without
-/// touching shared memory; see [`Simulator::peek_next_op`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Peek {
-    /// The next memory access the process will perform (possibly after one
-    /// or more intervening return/invoke steps).
-    Access(Op),
-    /// The process will terminate without performing another access.
-    WillTerminate,
-    /// The process is not runnable.
-    NotRunnable,
-}
-
 #[derive(Clone, Debug)]
 pub(crate) struct ProcState {
     pub(crate) source: Box<dyn CallSource>,
@@ -313,10 +300,6 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Maximum internal transitions `peek_next_op` will look through before
-    /// concluding the process loops forever without accessing memory.
-    const PEEK_LIMIT: usize = 65_536;
-
     /// Builds a fresh simulator in the initial state of `spec`.
     #[must_use]
     pub fn new(spec: &SimSpec) -> Self {
@@ -1026,7 +1009,7 @@ impl Simulator {
     }
 
     /// Flushes the **final** history's per-access cost attribution to the
-    /// installed `shm-obs` recorder under phase `scope`: `sim.rmr`,
+    /// installed `shm-obs` collector under phase `scope`: `sim.rmr`,
     /// `sim.local`, and `sim.inval` counter cells keyed by process, memory
     /// location, and the cost-model tag.
     ///
@@ -1180,63 +1163,12 @@ impl Simulator {
         }
     }
 
-    /// Computes the next memory access `pid` will perform, without executing
-    /// anything and without touching shared memory.
-    ///
-    /// Step machines receive values only through their `last` argument, so
-    /// the next operation is a pure function of the process's private state;
-    /// this method clones that state (source + current call) and runs it
-    /// forward through any non-access transitions (returns, call fetches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process makes more than an internal limit of
-    /// transitions without either accessing memory or terminating (which
-    /// would mean a livelocked call source).
-    #[must_use]
-    pub fn peek_next_op(&self, pid: ProcId) -> Peek {
-        let p = &self.procs[pid.index()];
-        if p.status != Status::Runnable {
-            return Peek::NotRunnable;
-        }
-        let mut source = p.source.clone();
-        let mut current = p.current.clone();
-        let mut last_op_result = p.last_op_result;
-        let mut last_return = p.last_return;
-        for _ in 0..Self::PEEK_LIMIT {
-            if current.is_none() {
-                match source.next_call(last_return) {
-                    None => return Peek::WillTerminate,
-                    Some(call) => {
-                        current = Some(call);
-                        last_op_result = None;
-                    }
-                }
-            }
-            match current
-                .as_mut()
-                .expect("set above")
-                .machine
-                .step(last_op_result)
-            {
-                Step::Op(op) => return Peek::Access(op),
-                Step::Return(v) => {
-                    current = None;
-                    last_return = Some(v);
-                }
-            }
-        }
-        panic!(
-            "peek_next_op: {pid} made {} transitions without accessing memory",
-            Self::PEEK_LIMIT
-        );
-    }
-
     /// Computes what the next *single* `step(pid)` call would do, without
-    /// executing it. Unlike [`Simulator::peek_next_op`], this does not look
-    /// through return/invoke transitions — it reports exactly the next
+    /// executing it or touching shared memory. It reports exactly the next
     /// step's effect, which the lower-bound adversary needs to stop a
-    /// process precisely "just before" an access.
+    /// process precisely "just before" an access. Step machines receive
+    /// values only through their `last` argument, so the effect is a pure
+    /// function of the process's private state.
     #[must_use]
     pub fn peek_transition(&self, pid: ProcId) -> TransitionPeek {
         let p = &self.procs[pid.index()];
@@ -1723,27 +1655,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_next_op_sees_through_call_boundaries() {
-        let (spec, flag) = write_then_read_spec();
-        let mut sim = Simulator::new(&spec);
-        // p0's first effective action is the write.
-        assert_eq!(
-            sim.peek_next_op(ProcId(0)),
-            Peek::Access(Op::Write(flag, 1))
-        );
-        // Peeking does not advance anything.
-        assert_eq!(sim.totals().steps, 0);
-        drain(&mut sim, ProcId(0));
-        assert_eq!(sim.peek_next_op(ProcId(0)), Peek::NotRunnable);
-    }
-
-    #[test]
     fn peek_detects_termination() {
         let (spec, _) = write_then_read_spec();
         let mut sim = Simulator::new(&spec);
         let _ = sim.step(ProcId(0)); // write (invoke + op)
         let _ = sim.step(ProcId(0)); // return
-        assert_eq!(sim.peek_next_op(ProcId(0)), Peek::WillTerminate);
+        assert_eq!(
+            sim.peek_transition(ProcId(0)),
+            TransitionPeek::WillTerminate
+        );
     }
 
     #[test]
