@@ -319,7 +319,7 @@ impl<'a> Walker<'a> {
         };
         let mut ctx = 0u64;
         for oracle in self.oracles {
-            ctx = ctx.rotate_left(7) ^ oracle.dedup_context_with(sim, calls);
+            ctx = ctx.rotate_left(7) ^ oracle.dedup_context(sim, calls);
         }
         let fp = self.hasher.fingerprint(sim, sum);
         #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]

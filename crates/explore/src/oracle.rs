@@ -2,10 +2,7 @@
 //! maximization targets).
 
 use shm_sim::{CallRecord, ProcId, Simulator};
-use signaling::{
-    check_blocking, check_blocking_calls, check_polling, check_polling_calls, kinds,
-    waiter_processes,
-};
+use signaling::{check_blocking_calls, check_polling_calls, kinds, waiter_processes};
 use std::sync::Arc;
 
 /// A safety oracle checked on every explored state.
@@ -30,11 +27,24 @@ pub trait Oracle: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// `Ok(())` or a human-readable description of the first violation.
+    /// `calls` is exactly `sim.history().calls()`: the explorer judges *and*
+    /// dedup-contexts every generated state, so it reconstructs the records
+    /// once per state and shares them; oracles that judge the state alone
+    /// ignore them.
     ///
     /// # Errors
     ///
     /// Returns the violation description.
-    fn check(&self, sim: &Simulator) -> Result<(), String>;
+    fn check_with(&self, sim: &Simulator, calls: &[CallRecord]) -> Result<(), String>;
+
+    /// [`Oracle::check_with`] on records reconstructed from `sim`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation description.
+    fn check(&self, sim: &Simulator) -> Result<(), String> {
+        self.check_with(sim, &sim.history().calls())
+    }
 
     /// Whether the history is within the algorithm's participation contract.
     /// Violations found out of contract are recorded but say nothing about
@@ -44,38 +54,16 @@ pub trait Oracle: Send + Sync {
     }
 
     /// A word capturing every past order fact that can affect the verdict of
-    /// a future state (see the trait docs). The default (0) is correct for
-    /// oracles whose verdicts are functions of the current state alone.
+    /// a future state (see the trait docs); `calls` as in
+    /// [`Oracle::check_with`]. The default (0) is correct for oracles whose
+    /// verdicts are functions of the current state alone.
     ///
     /// Example: `FalseAfterSignalCompleted` condemns a *pending* poll that
     /// was invoked after a completed signal once it returns false — whether
     /// the invoke came before or after the signal's return is invisible in
     /// the per-process state, so [`PollingSpecOracle`] encodes it here.
-    fn dedup_context(&self, _sim: &Simulator) -> u64 {
+    fn dedup_context(&self, _sim: &Simulator, _calls: &[CallRecord]) -> u64 {
         0
-    }
-
-    /// [`Oracle::check`] with the history's call records already
-    /// reconstructed. The explorer judges *and* dedup-contexts every
-    /// generated state; reconstructing [`History::calls`](shm_sim::History::calls)
-    /// once per state and sharing it across both is its hottest saving.
-    /// Defaults to the plain `check`, so record-oblivious oracles need not
-    /// care.
-    ///
-    /// Implementations must agree with `check`: the slice is exactly
-    /// `sim.history().calls()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation description.
-    fn check_with(&self, sim: &Simulator, _calls: &[CallRecord]) -> Result<(), String> {
-        self.check(sim)
-    }
-
-    /// [`Oracle::dedup_context`] with pre-reconstructed call records (see
-    /// [`Oracle::check_with`]); must agree with `dedup_context`.
-    fn dedup_context_with(&self, sim: &Simulator, _calls: &[CallRecord]) -> u64 {
-        self.dedup_context(sim)
     }
 }
 
@@ -93,8 +81,8 @@ impl Oracle for PollingSpecOracle {
         "spec4.1-polling"
     }
 
-    fn check(&self, sim: &Simulator) -> Result<(), String> {
-        check_polling(sim.history()).map_err(|v| format!("{v:?}"))
+    fn check_with(&self, _sim: &Simulator, calls: &[CallRecord]) -> Result<(), String> {
+        check_polling_calls(calls).map_err(|v| format!("{v:?}"))
     }
 
     fn in_contract(&self, sim: &Simulator) -> bool {
@@ -109,37 +97,23 @@ impl Oracle for PollingSpecOracle {
     /// the bitmask of processes holding such a condemned-if-false pending
     /// poll. (The other clauses compare against the *return* step, which is
     /// in the future for every pending call, so they need no witness.)
-    fn dedup_context(&self, sim: &Simulator) -> u64 {
-        polling_context(&sim.history().calls())
-    }
-
-    fn check_with(&self, _sim: &Simulator, calls: &[CallRecord]) -> Result<(), String> {
-        check_polling_calls(calls).map_err(|v| format!("{v:?}"))
-    }
-
-    fn dedup_context_with(&self, _sim: &Simulator, calls: &[CallRecord]) -> u64 {
-        polling_context(calls)
-    }
-}
-
-/// The condemned-if-false pending-poll bitmask [`PollingSpecOracle`] uses as
-/// its dedup context, over pre-reconstructed call records.
-fn polling_context(calls: &[CallRecord]) -> u64 {
-    let first_signal_complete = calls
-        .iter()
-        .filter(|c| c.kind == kinds::SIGNAL)
-        .filter_map(|c| c.returned_at)
-        .min();
-    let Some(sc) = first_signal_complete else {
-        return 0;
-    };
-    let mut mask = 0u64;
-    for c in calls {
-        if c.kind == kinds::POLL && c.returned_at.is_none() && c.invoked_at > sc {
-            mask |= 1 << (c.pid.0 % 64);
+    fn dedup_context(&self, _sim: &Simulator, calls: &[CallRecord]) -> u64 {
+        let first_signal_complete = calls
+            .iter()
+            .filter(|c| c.kind == kinds::SIGNAL)
+            .filter_map(|c| c.returned_at)
+            .min();
+        let Some(sc) = first_signal_complete else {
+            return 0;
+        };
+        let mut mask = 0u64;
+        for c in calls {
+            if c.kind == kinds::POLL && c.returned_at.is_none() && c.invoked_at > sc {
+                mask |= 1 << (c.pid.0 % 64);
+            }
         }
+        mask
     }
-    mask
 }
 
 /// The blocking-semantics contract ("`Wait()` returns only after some
@@ -155,17 +129,13 @@ impl Oracle for BlockingSpecOracle {
         "spec4.1-blocking"
     }
 
-    fn check(&self, sim: &Simulator) -> Result<(), String> {
-        check_blocking(sim.history()).map_err(|v| format!("{v:?}"))
+    fn check_with(&self, _sim: &Simulator, calls: &[CallRecord]) -> Result<(), String> {
+        check_blocking_calls(calls).map_err(|v| format!("{v:?}"))
     }
 
     fn in_contract(&self, sim: &Simulator) -> bool {
         self.max_concurrent_waiters
             .is_none_or(|m| waiter_processes(sim.history()).len() <= m)
-    }
-
-    fn check_with(&self, _sim: &Simulator, calls: &[CallRecord]) -> Result<(), String> {
-        check_blocking_calls(calls).map_err(|v| format!("{v:?}"))
     }
 }
 
@@ -195,7 +165,7 @@ impl Oracle for FnOracle {
         self.name
     }
 
-    fn check(&self, sim: &Simulator) -> Result<(), String> {
+    fn check_with(&self, sim: &Simulator, _calls: &[CallRecord]) -> Result<(), String> {
         (self.f)(sim)
     }
 }
