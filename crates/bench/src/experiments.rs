@@ -101,7 +101,6 @@ pub fn e1_cc_upper(sizes: &[u32], polls: u32) -> Vec<E1Row> {
         }
     }
     map_indexed(shm_pool::threads(), jobs, |_, (n, label, model)| {
-        let mark = shm_obs::totals_mark();
         let sim = run_poll_heavy(&CcFlag, n, polls, model);
         sim.obs_flush("e1");
         let max = (0..=n)
@@ -114,7 +113,6 @@ pub fn e1_cc_upper(sizes: &[u32], polls: u32) -> Vec<E1Row> {
             polls,
             max_rmrs_per_proc: max,
             total_rmrs: sim.totals().rmrs,
-            obs: mark.map(|m| m.delta_json()),
         }
     })
 }
@@ -149,7 +147,6 @@ pub fn e2_dsm_lower_with(sizes: &[usize], audit: bool) -> Vec<E2Row> {
     }
     let algos = &algos;
     map_indexed(shm_pool::threads(), jobs, move |_, (n, k)| {
-        let mark = shm_obs::totals_mark();
         let mut cfg = LowerBoundConfig::for_n(n);
         cfg.part1.audit = audit;
         let report = run_lower_bound(algos[k].as_ref(), cfg);
@@ -170,7 +167,6 @@ pub fn e2_dsm_lower_with(sizes: &[usize], audit: bool) -> Vec<E2Row> {
             out_of_contract: report.out_of_contract(),
             audit_clean: report.audit_clean(),
             audit_divergence: report.first_divergence().map(|d| d.to_json()),
-            obs: mark.map(|m| m.delta_json()),
             timings: report.timings,
         }
     })
@@ -419,7 +415,6 @@ pub fn e8_transformation_with(sizes: &[usize], audit: bool) -> Vec<E8Row> {
         }
     }
     map_indexed(shm_pool::threads(), jobs, |_, (n, k)| {
-        let mark = shm_obs::totals_mark();
         let mut cfg = LowerBoundConfig::for_n(n);
         cfg.part1 = Part1Config {
             n,
@@ -447,7 +442,6 @@ pub fn e8_transformation_with(sizes: &[usize], audit: bool) -> Vec<E8Row> {
             blocked: r.part1.blocked_erasures + r.chase.as_ref().map_or(0, |c| c.blocked),
             signal_stuck,
             audit_clean: r.audit_clean(),
-            obs: mark.map(|m| m.delta_json()),
             timings: r.timings,
         }
     })
@@ -495,7 +489,6 @@ pub fn e9_explore_with(waiters: usize, max_polls: u64, mem_budget: Option<usize>
     }
     let algos = &algos;
     map_indexed(shm_pool::threads(), jobs, move |_, (k, label, model)| {
-        let mark = shm_obs::totals_mark();
         let (algo, seed) = &algos[k];
         let scenario = ScenarioSpec {
             algorithm: algo.as_ref(),
@@ -517,7 +510,7 @@ pub fn e9_explore_with(waiters: usize, max_polls: u64, mem_budget: Option<usize>
             let r = run_lower_bound(algo.as_ref(), LowerBoundConfig::for_n(scenario.n()));
             r.chase.as_ref().map_or(0, |c| c.signaler_rmrs)
         });
-        e9_row(&scenario, label, &out, chase, mark)
+        e9_row(&scenario, label, &out, chase)
     })
 }
 
@@ -528,7 +521,6 @@ fn e9_row(
     label: &'static str,
     out: &shm_explore::CheckOutcome,
     chase: Option<u64>,
-    mark: Option<shm_obs::TotalsMark>,
 ) -> E9Row {
     E9Row {
         algorithm: scenario.algorithm.name().to_owned(),
@@ -549,7 +541,6 @@ fn e9_row(
             .counterexample
             .as_ref()
             .map(shm_explore::Counterexample::to_json),
-        obs: mark.map(|m| m.delta_json()),
     }
 }
 
@@ -569,7 +560,6 @@ pub const E9_DEEP_MAX_POLLS: u64 = 1;
 #[must_use]
 pub fn e9_deep(mem_budget: Option<usize>) -> Vec<E9Row> {
     use shm_explore::{check, Bounds, ScenarioSpec};
-    let mark = shm_obs::totals_mark();
     let algo = SingleWaiter;
     let scenario = ScenarioSpec {
         algorithm: &algo,
@@ -588,7 +578,7 @@ pub fn e9_deep(mem_budget: Option<usize>) -> Vec<E9Row> {
         let r = run_lower_bound(&algo, LowerBoundConfig::for_n(scenario.n()));
         Some(r.chase.as_ref().map_or(0, |c| c.signaler_rmrs))
     };
-    vec![e9_row(&scenario, "dsm", &out, chase, mark)]
+    vec![e9_row(&scenario, "dsm", &out, chase)]
 }
 
 // --------------------------------------------------------------- E10 ----
@@ -652,7 +642,6 @@ pub fn e10_pct_with(
         shm_pool::threads(),
         jobs,
         move |_, (waiters, k, label, model)| {
-            let mark = shm_obs::totals_mark();
             let (algo, seed) = &algos[k];
             let scenario = ScenarioSpec {
                 algorithm: algo.as_ref(),
@@ -687,7 +676,6 @@ pub fn e10_pct_with(
                     .counterexample
                     .as_ref()
                     .map(shm_explore::Counterexample::to_json),
-                obs: mark.map(|m| m.delta_json()),
             }
         },
     )

@@ -2,11 +2,11 @@
 //! manifest per experiment kind, rendered through `bench::run::run_manifest`
 //! — the bytes the job server streams and `--canon` writes — must match the
 //! fixtures committed in `tests/golden/` *byte for byte*, at 1 and at 4
-//! threads. The determinism tests prove the output is thread-count
-//! independent; these prove it does not drift across code changes at all —
-//! any rewrite of the simulator core, pricing state, explorer, or dispatch
-//! that alters a single byte fails here and must either be a bug or a
-//! deliberate, reviewed fixture update.
+//! threads, and with telemetry recording as without. The determinism tests
+//! prove the output is thread-count independent; these prove it does not
+//! drift across code changes at all — any rewrite of the simulator core,
+//! pricing state, explorer, or dispatch that alters a single byte fails
+//! here and must either be a bug or a deliberate, reviewed fixture update.
 //!
 //! Scaled-down parameters keep the debug-build runtime tractable; the same
 //! dispatch and serializers produce the full-size runs' `--canon` output.
@@ -53,14 +53,25 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Renders `manifest` at 1 and 4 threads, requires the two renders to agree,
-/// and pins them to `tests/golden/<kind>.json`. Returns the bytes.
+/// Renders `manifest` at 1 and 4 threads, and at 4 threads again with a
+/// collector and a progress sink installed, requires the three renders to
+/// agree, and pins them to `tests/golden/<kind>.json`. Returns the bytes.
 fn pin(manifest: &str) -> String {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let m = Manifest::from_json(manifest).expect("valid manifest");
     let serial = at_threads(1, || run_manifest(&m));
     let parallel = at_threads(4, || run_manifest(&m));
     assert_eq!(serial, parallel, "{manifest}: thread count moved a byte");
+    let observed = at_threads(4, || {
+        let c = shm_obs::Collector::new();
+        shm_obs::install_collector(&c);
+        shm_obs::progress::install(shm_obs::progress::Config::default());
+        let out = run_manifest(&m);
+        let _ = shm_obs::progress::finish();
+        shm_obs::uninstall();
+        out
+    });
+    assert_eq!(serial, observed, "{manifest}: telemetry moved a byte");
     check(&format!("{}.json", m.kind.as_str()), &serial);
     serial
 }

@@ -28,8 +28,8 @@
 //!   counters (progress frames, the pool's execute/steal/idle counts, the
 //!   job server's jobs and dedup hits) are named in
 //!   [`registry::is_deterministic`] and excluded from the deterministic
-//!   sinks ([`MetricsReport`], the no-wall JSONL stream, `--canon` obs
-//!   blocks); every other name is deterministic.
+//!   sinks ([`MetricsReport`] and the no-wall JSONL stream); every other
+//!   name is deterministic.
 //!
 //! Three sinks consume a [`Collector`] snapshot: the in-memory
 //! [`MetricsReport`] (canonical JSON, byte-identical across thread counts),
@@ -239,32 +239,23 @@ thread_local! {
 }
 
 /// RAII guard for one track segment (see [`enter_track`]).
-pub struct TrackGuard {
-    pushed: bool,
-}
+pub struct TrackGuard(());
 
 impl Drop for TrackGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            TRACK.with(|t| {
-                t.borrow_mut().pop();
-            });
-        }
+        TRACK.with(|t| {
+            t.borrow_mut().pop();
+        });
     }
 }
 
 /// Pushes submission index `i` onto the current thread's track path until
-/// the guard drops. No-op (and allocation-free) when recording is
-/// disabled. A progress sink alone keeps track bookkeeping on — frames
-/// carry track paths for attribution — without paying for span/counter
-/// recording (that still requires a collector).
+/// the guard drops. Tracks are kept whatever is installed, so a frame or a
+/// counter is attributed to the same path at every thread count.
 #[must_use]
 pub fn enter_track(i: u32) -> TrackGuard {
-    if !enabled() && !progress::enabled() {
-        return TrackGuard { pushed: false };
-    }
     TRACK.with(|t| t.borrow_mut().push(i));
-    TrackGuard { pushed: true }
+    TrackGuard(())
 }
 
 /// The current thread's track path.
@@ -275,14 +266,13 @@ pub fn track_path() -> Vec<u32> {
 
 /// RAII guard restoring the track path replaced by [`adopt_track_path`].
 pub struct AdoptGuard {
-    saved: Option<Vec<u32>>,
+    saved: Vec<u32>,
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        if let Some(saved) = self.saved.take() {
-            TRACK.with(|t| *t.borrow_mut() = saved);
-        }
+        let saved = std::mem::take(&mut self.saved);
+        TRACK.with(|t| *t.borrow_mut() = saved);
     }
 }
 
@@ -290,23 +280,18 @@ impl Drop for AdoptGuard {
 /// the submitting thread's path so nested fan-outs stay rooted correctly).
 #[must_use]
 pub fn adopt_track_path(path: Vec<u32>) -> AdoptGuard {
-    if !enabled() {
-        return AdoptGuard { saved: None };
-    }
     let saved = TRACK.with(|t| std::mem::replace(&mut *t.borrow_mut(), path));
-    AdoptGuard { saved: Some(saved) }
+    AdoptGuard { saved }
 }
 
 /// RAII guard restoring the lane set by [`set_lane`].
 pub struct LaneGuard {
-    saved: Option<u32>,
+    saved: u32,
 }
 
 impl Drop for LaneGuard {
     fn drop(&mut self) {
-        if let Some(saved) = self.saved.take() {
-            LANE.with(|l| l.set(saved));
-        }
+        LANE.with(|l| l.set(self.saved));
     }
 }
 
@@ -314,11 +299,9 @@ impl Drop for LaneGuard {
 /// `worker index + 1`). Lanes only affect span events (Chrome trace rows).
 #[must_use]
 pub fn set_lane(lane: u32) -> LaneGuard {
-    if !enabled() {
-        return LaneGuard { saved: None };
+    LaneGuard {
+        saved: LANE.with(|l| l.replace(lane)),
     }
-    let saved = LANE.with(|l| l.replace(lane));
-    LaneGuard { saved: Some(saved) }
 }
 
 // ------------------------------------------------------- span & counter ----
@@ -508,74 +491,6 @@ impl Collector {
                 .collect(),
         }
     }
-
-    /// Per-name totals of the deterministic counters recorded under tracks
-    /// with the given path prefix.
-    #[must_use]
-    pub fn subtree_totals(&self, prefix: &[u32]) -> BTreeMap<&'static str, u64> {
-        let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for (path, buf) in self.tracks.lock().unwrap().iter() {
-            if !path.starts_with(prefix) {
-                continue;
-            }
-            for (key, v) in &buf.lock().unwrap().counters {
-                if registry::is_deterministic(key.name) {
-                    *totals.entry(key.name).or_default() += v;
-                }
-            }
-        }
-        totals
-    }
-}
-
-// ---------------------------------------------------------- totals mark ----
-
-/// A mark of the current track subtree's deterministic counter totals, for
-/// computing a delta at the end of a unit of work (one `--canon` row).
-pub struct TotalsMark {
-    collector: Arc<Collector>,
-    prefix: Vec<u32>,
-    base: BTreeMap<&'static str, u64>,
-}
-
-/// Marks the current track subtree's totals, or `None` when no collector is
-/// installed. Take the mark at the start of a job; [`TotalsMark::delta_json`]
-/// at the end yields the job's own counter totals as canonical JSON.
-#[must_use]
-pub fn totals_mark() -> Option<TotalsMark> {
-    let collector = collector()?;
-    let prefix = track_path();
-    let base = collector.subtree_totals(&prefix);
-    Some(TotalsMark {
-        collector,
-        prefix,
-        base,
-    })
-}
-
-impl TotalsMark {
-    /// Canonical JSON object (`{"name": total, ...}`, sorted by name) of the
-    /// deterministic counters recorded under the marked subtree since the
-    /// mark was taken.
-    #[must_use]
-    pub fn delta_json(&self) -> String {
-        let now = self.collector.subtree_totals(&self.prefix);
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, v) in now {
-            let delta = v - self.base.get(name).copied().unwrap_or(0);
-            if delta == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\": {delta}"));
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// The one lock every test that touches the process-wide collector takes.
@@ -606,11 +521,6 @@ mod tests {
         counter!("sim.rmr");
         let _span = Span::enter("phase");
         let _t = enter_track(3);
-        assert!(
-            track_path().is_empty(),
-            "tracks are not maintained when off"
-        );
-        assert!(totals_mark().is_none());
     }
 
     #[test]
@@ -696,41 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_totals_and_marks_are_scoped_and_deterministic_only() {
-        with_collector(|c| {
-            {
-                let _t = enter_track(0);
-                let mark = totals_mark().expect("collector installed");
-                counter!("sim.rmr", 4);
-                counter!("pool.steal", 2, pid: 0); // nondeterministic: excluded
-                {
-                    let _inner = enter_track(1);
-                    counter!("audit.steps", 6);
-                }
-                assert_eq!(mark.delta_json(), "{\"audit.steps\": 6, \"sim.rmr\": 4}");
-            }
-            {
-                let _t = enter_track(1);
-                counter!("sim.rmr", 100);
-            }
-            assert_eq!(c.subtree_totals(&[0]).get("sim.rmr"), Some(&4));
-            assert_eq!(c.subtree_totals(&[]).get("sim.rmr"), Some(&104));
-            assert!(!c.subtree_totals(&[]).contains_key("pool.steal"));
-        });
-    }
-
-    #[test]
-    fn marks_measure_deltas_not_absolutes() {
-        with_collector(|_c| {
-            let _t = enter_track(5);
-            counter!("sim.rmr", 7);
-            let mark = totals_mark().expect("collector installed");
-            counter!("sim.rmr", 2);
-            assert_eq!(mark.delta_json(), "{\"sim.rmr\": 2}");
-        });
-    }
-
-    #[test]
     fn suppression_hides_nested_recording() {
         with_collector(|c| {
             counter!("sim.rmr", 1);
@@ -741,7 +616,10 @@ mod tests {
                 drop(span);
             }
             counter!("sim.rmr", 2);
-            assert_eq!(c.subtree_totals(&[]).get("sim.rmr"), Some(&3));
+            assert_eq!(
+                MetricsReport::from_snapshot(&c.snapshot()).total("sim.rmr"),
+                3
+            );
             assert!(c.snapshot().tracks[0].1.spans.is_empty());
         });
     }
@@ -775,7 +653,10 @@ mod tests {
         done_rx.recv().unwrap();
         worker.join().unwrap();
         for (c, want) in [(&a, 1), (&b, 2)] {
-            assert_eq!(c.subtree_totals(&[]).get("sim.rmr"), Some(&want));
+            assert_eq!(
+                MetricsReport::from_snapshot(&c.snapshot()).total("sim.rmr"),
+                want
+            );
             let spans: usize = c.snapshot().tracks.iter().map(|(_, d)| d.spans.len()).sum();
             assert_eq!(spans, 2, "one span, begin and end");
         }

@@ -25,15 +25,16 @@
 //! - **Thread-count resolution.** [`threads`] resolves, in order: an explicit
 //!   [`set_threads`] call, the `CC_DSM_THREADS` environment variable, then
 //!   [`std::thread::available_parallelism`].
-//! - **Observability.** When an `shm-obs` collector is installed, every job
-//!   runs under track segment `i` (its submission index) wrapped in a
-//!   `pool.job` span — identically on the serial and parallel paths, so the
-//!   deterministic view of the recording is thread-count independent.
-//!   Workers adopt the submitting thread's track path (nested fan-outs stay
-//!   rooted correctly), claim Chrome-trace lane `w + 1`, and additionally
-//!   emit the scheduling-dependent `pool.execute` / `pool.steal` /
-//!   `pool.idle` counters, which `shm-obs` registers as nondeterministic
-//!   and keeps out of the deterministic sinks.
+//! - **Observability.** Every job runs under `shm-obs` track segment `i`
+//!   (its submission index), whether or not anything is installed, and in a
+//!   `pool.job` span when a collector is — identically on the serial and
+//!   parallel paths, so the deterministic view of the recording and of the
+//!   progress frames is thread-count independent. Workers adopt the
+//!   submitting thread's track path (nested fan-outs stay rooted
+//!   correctly), claim Chrome-trace lane `w + 1`, and additionally emit the
+//!   scheduling-dependent `pool.execute` / `pool.steal` / `pool.idle`
+//!   counters, which `shm-obs` registers as nondeterministic and keeps out
+//!   of the deterministic sinks.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -280,6 +281,28 @@ mod tests {
         let parallel = view(2);
         assert_eq!(serial.len(), 16, "one track per job");
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn progress_frames_keep_the_submitting_track_without_a_collector() {
+        // Only a progress sink is installed. The one-item outer map runs
+        // inline at any thread count, so at 4 threads the inner map is the
+        // parallel one: its workers must still track jobs under `[0, i]`.
+        let run = |threads: usize| {
+            shm_obs::progress::install(shm_obs::progress::Config::default());
+            map_indexed(threads, vec![()], |_, ()| {
+                map_indexed(threads, vec![(); 4], |_, ()| {
+                    let mut meter = shm_obs::progress::Meter::new("pool", "inner", 1, None)
+                        .expect("sink installed");
+                    assert!(meter.tick(1));
+                    meter.emit(&[]);
+                });
+            });
+            shm_obs::progress::finish().expect("sink installed")
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(4));
+        assert!(serial.contains("\"track\":[0,3]"), "{serial}");
     }
 
     #[test]

@@ -19,14 +19,6 @@ fn opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |x| x.to_string())
 }
 
-/// The trailing `, "obs": {...}` fragment for a row, or empty when no
-/// collector was installed. The block holds deterministic counter totals
-/// only (already canonical JSON), so `--canon` output stays byte-identical
-/// across thread counts even with recording enabled.
-fn obs_block(obs: Option<&String>) -> String {
-    obs.map_or_else(String::new, |o| format!(", \"obs\": {o}"))
-}
-
 fn join_rows(rows: Vec<String>) -> String {
     let mut out = String::from("[\n");
     let n = rows.len();
@@ -48,14 +40,13 @@ pub fn e1_json(rows: &[E1Row]) -> String {
                 format!(
                     concat!(
                         "{{\"model\": \"{}\", \"n_waiters\": {}, \"polls\": {}, ",
-                        "\"max_rmrs_per_proc\": {}, \"total_rmrs\": {}{}}}"
+                        "\"max_rmrs_per_proc\": {}, \"total_rmrs\": {}}}"
                     ),
                     json_escape(r.model),
                     r.n_waiters,
                     r.polls,
                     r.max_rmrs_per_proc,
                     r.total_rmrs,
-                    obs_block(r.obs.as_ref()),
                 )
             })
             .collect(),
@@ -79,7 +70,7 @@ pub fn e2_json(rows: &[E2Row]) -> String {
                         "{{\"algorithm\": \"{}\", \"n\": {}, \"stabilized\": {}, ",
                         "\"stable\": {}, \"chase_signaler_rmrs\": {}, \"chase_erased\": {}, ",
                         "\"blocked\": {}, \"amortized\": {:.4}, \"violation\": {}, ",
-                        "\"out_of_contract\": {}, \"audit_clean\": {}, \"audit_divergence\": {}{}}}"
+                        "\"out_of_contract\": {}, \"audit_clean\": {}, \"audit_divergence\": {}}}"
                     ),
                     json_escape(&r.algorithm),
                     r.n,
@@ -93,7 +84,6 @@ pub fn e2_json(rows: &[E2Row]) -> String {
                     r.out_of_contract,
                     audit_clean,
                     audit_divergence,
-                    obs_block(r.obs.as_ref()),
                 )
             })
             .collect(),
@@ -226,7 +216,7 @@ pub fn e8_json(rows: &[E8Row]) -> String {
                     concat!(
                         "{{\"variant\": \"{}\", \"n\": {}, \"stabilized\": {}, ",
                         "\"stable\": {}, \"amortized\": {:.4}, \"blocked\": {}, ",
-                        "\"signal_stuck\": {}, \"audit_clean\": {}{}}}"
+                        "\"signal_stuck\": {}, \"audit_clean\": {}}}"
                     ),
                     json_escape(&r.variant),
                     r.n,
@@ -236,7 +226,6 @@ pub fn e8_json(rows: &[E8Row]) -> String {
                     r.blocked,
                     r.signal_stuck,
                     audit_clean,
-                    obs_block(r.obs.as_ref()),
                 )
             })
             .collect(),
@@ -261,7 +250,7 @@ pub fn e10_json(rows: &[E10Row]) -> String {
                         "\"distinct_fingerprints\": {}, \"violations_found\": {}, ",
                         "\"violations_in_contract\": {}, \"max_signaler_rmrs\": {}, ",
                         "\"peak_visited_bytes\": {}, \"spilled_bytes\": {}, ",
-                        "\"counterexample\": {}{}}}"
+                        "\"counterexample\": {}}}"
                     ),
                     json_escape(&r.algorithm),
                     json_escape(r.model),
@@ -279,7 +268,6 @@ pub fn e10_json(rows: &[E10Row]) -> String {
                     r.peak_visited_bytes,
                     r.spilled_bytes,
                     counterexample,
-                    obs_block(r.obs.as_ref()),
                 )
             })
             .collect(),
@@ -302,7 +290,7 @@ pub fn e9_json(rows: &[E9Row]) -> String {
                         "\"violations_found\": {}, \"violations_in_contract\": {}, ",
                         "\"max_signaler_rmrs\": {}, \"chase_signaler_rmrs\": {}, ",
                         "\"peak_frontier\": {}, \"peak_visited_bytes\": {}, ",
-                        "\"spilled_bytes\": {}, \"counterexample\": {}{}}}"
+                        "\"spilled_bytes\": {}, \"counterexample\": {}}}"
                     ),
                     json_escape(&r.algorithm),
                     json_escape(r.model),
@@ -319,7 +307,6 @@ pub fn e9_json(rows: &[E9Row]) -> String {
                     r.peak_visited_bytes,
                     r.spilled_bytes,
                     counterexample,
-                    obs_block(r.obs.as_ref()),
                 )
             })
             .collect(),

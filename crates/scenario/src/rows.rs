@@ -37,9 +37,6 @@ pub struct E1Row {
     pub max_rmrs_per_proc: u64,
     /// Total RMRs.
     pub total_rmrs: u64,
-    /// Deterministic counter totals for this row (canonical JSON object),
-    /// recorded only when an `shm-obs` collector is installed.
-    pub obs: Option<String>,
 }
 
 /// One row of E2: the lower-bound adversary against one algorithm at one N.
@@ -74,9 +71,6 @@ pub struct E2Row {
     /// First audit divergence, rendered as a JSON object (present only on a
     /// failed audit).
     pub audit_divergence: Option<String>,
-    /// Deterministic counter totals for this row (canonical JSON object),
-    /// recorded only when an `shm-obs` collector is installed.
-    pub obs: Option<String>,
     /// Per-phase wall-clock (record / rounds / chase / discovery).
     pub timings: PhaseTimings,
 }
@@ -180,9 +174,6 @@ pub struct E8Row {
     /// Differential-audit verdict: `None` when auditing was off, otherwise
     /// whether every audited phase matched the naive reference executor.
     pub audit_clean: Option<bool>,
-    /// Deterministic counter totals for this row (canonical JSON object),
-    /// recorded only when an `shm-obs` collector is installed.
-    pub obs: Option<String>,
     /// Per-phase wall-clock (record / rounds / chase / discovery).
     pub timings: PhaseTimings,
 }
@@ -229,9 +220,6 @@ pub struct E9Row {
     pub spilled_bytes: u64,
     /// The first violation, shrunk and audited, as a canonical JSON object.
     pub counterexample: Option<String>,
-    /// Deterministic counter totals for this row (canonical JSON object),
-    /// recorded only when an `shm-obs` collector is installed.
-    pub obs: Option<String>,
 }
 
 /// One row of E10: seeded PCT sampling of one algorithm under one cost
@@ -273,7 +261,4 @@ pub struct E10Row {
     pub spilled_bytes: u64,
     /// The first violation, shrunk and audited, as a canonical JSON object.
     pub counterexample: Option<String>,
-    /// Deterministic counter totals for this row (canonical JSON object),
-    /// recorded only when an `shm-obs` collector is installed.
-    pub obs: Option<String>,
 }
