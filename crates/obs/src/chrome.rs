@@ -10,6 +10,7 @@
 //! is intentionally wall-clock based and therefore *not* deterministic —
 //! the deterministic sinks are `MetricsReport` and the JSONL stream.
 
+use crate::report::json_escape;
 use crate::Snapshot;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -17,10 +18,6 @@ use std::fmt::Write as _;
 /// Renders `snap` as a Trace Event JSON document.
 #[must_use]
 pub fn chrome_trace(snap: &Snapshot) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-
     // (t_ns, lane, begin, name, track) — sorted so begins/ends nest sanely
     // for the viewer even though tracks are captured independently.
     let mut events: Vec<(u64, u32, bool, &'static str, String)> = Vec::new();
@@ -61,8 +58,8 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             out,
             "{sep}\n{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{lane},\
              \"ts\":{us_whole}.{us_frac:03},\"args\":{{\"track\":\"{}\"}}}}",
-            esc(name),
-            esc(track)
+            json_escape(name),
+            json_escape(track)
         );
     }
 
@@ -84,7 +81,7 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             out,
             "{sep}\n{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":1,\
              \"ts\":{us_whole}.{us_frac:03},\"args\":{{\"value\":{value}}}}}",
-            esc(name)
+            json_escape(name)
         );
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");

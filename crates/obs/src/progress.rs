@@ -78,7 +78,7 @@ impl Frame {
         let mut out = format!(
             "{{\"type\":\"{ty}\",\"source\":\"{}\",\"label\":\"{}\",\"track\":[{}]",
             self.source,
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            crate::report::json_escape(&self.label),
             track.join(",")
         );
         if self.seq != u64::MAX {

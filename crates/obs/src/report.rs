@@ -5,7 +5,8 @@ use crate::{registry, CounterKey, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: backslashes and double quotes.
+pub(crate) fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
