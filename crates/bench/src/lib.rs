@@ -41,7 +41,6 @@ pub mod experiments;
 pub mod history;
 pub mod run;
 pub mod table;
-pub mod timing;
 
 /// The shared scenario schema (manifests, row types, canonical JSON).
 pub use shm_scenario::{ExperimentKind, Manifest, ManifestError};
