@@ -32,9 +32,7 @@ fn e1_canonical_json_is_thread_count_independent() {
 #[test]
 fn audited_e2_canonical_json_is_thread_count_independent() {
     let _guard = POOL_LOCK.lock().unwrap();
-    // Audit on: the audit itself shards across the pool (nested inside the
-    // row jobs at threads=4, where it degrades to the serial path; at the
-    // top level when rows run serially), so this exercises both nestings.
+    // Audit on: each row audits its recordings inside its row job.
     let serial = at_threads(1, || canon::e2_json(&e2_dsm_lower_with(&[8, 12], true)));
     let parallel = at_threads(4, || canon::e2_json(&e2_dsm_lower_with(&[8, 12], true)));
     assert_eq!(serial, parallel);

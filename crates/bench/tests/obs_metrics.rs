@@ -96,7 +96,7 @@ fn audit_rmr_charges_match_independent_repricing() {
     let c = shm_obs::Collector::new();
     shm_obs::install_collector(&c);
     let (sim, spec) = poll_run(CostModel::Dsm);
-    let audit = sim.audit_with_threads(&spec, 2);
+    let audit = sim.audit(&spec);
     shm_obs::uninstall();
     assert!(audit.is_clean(), "{}", audit.to_json());
     let report = shm_obs::MetricsReport::from_snapshot(&c.snapshot());
@@ -107,7 +107,7 @@ fn audit_rmr_charges_match_independent_repricing() {
         "one charge per standard model: {charges:?}"
     );
 
-    // For the recording's own model the shard deltas must reassemble the
+    // For the recording's own model the walk's charge must equal the
     // simulator's own total.
     assert_eq!(charges.get("dsm").copied(), Some(sim.totals().rmrs));
 

@@ -34,7 +34,7 @@ struct Streams {
 }
 
 /// Audited E2 with collector + progress sink (cadence 1: a frame per
-/// adversary round and per audit shard), all four streams captured.
+/// adversary round and per audited step), all four streams captured.
 fn audited_e2_streams(threads: usize, wall: bool) -> Streams {
     at_threads(threads, || {
         let c = shm_obs::Collector::new();
@@ -70,7 +70,7 @@ fn audited_e2_all_streams_are_thread_count_independent_with_telemetry_on() {
     assert_eq!(serial.jsonl, parallel.jsonl);
     assert_eq!(serial.canon, parallel.canon);
     // The adversary emits one frame per round plus a summary; the audit
-    // fans shards out through a SharedMeter.
+    // meters its walk's steps and sums it up.
     assert!(
         serial.progress.contains("\"source\":\"adversary\""),
         "{}",
@@ -79,7 +79,7 @@ fn audited_e2_all_streams_are_thread_count_independent_with_telemetry_on() {
     assert!(serial.progress.contains("\"source\":\"audit\""));
     assert!(serial.progress.contains("\"type\":\"progress_summary\""));
     assert!(serial.progress.contains("\"erased\":"));
-    assert!(serial.progress.contains("\"shards\":"));
+    assert!(serial.progress.contains("\"models\":4"));
     // The progress-frame counter is declared nondeterministic, so the
     // metrics report (a deterministic sink) must not carry it.
     assert!(
@@ -198,7 +198,7 @@ fn profile_aggregates_real_experiment_spans() {
         "part1.round",
         "part1.advance",
         "part1.resolve",
-        "audit.shard",
+        "audit.walk",
     ] {
         let stats = p
             .by_name

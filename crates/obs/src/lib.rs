@@ -13,9 +13,9 @@
 //!   is the thread's track path. Only a miss (a new track, a new collector)
 //!   takes the process-wide lock on the installed collector.
 //! * **Deterministic merging.** Recording threads write into *track*-local
-//!   buffers. A track is a path of submission indices (`[2, 1]` = shard 1
-//!   of row job 2) maintained by `shm-pool`: the pool pushes the job index
-//!   on both its serial and parallel paths, so the set of tracks — and
+//!   buffers. A track is a path of submission indices (`[2, 1]` = inner
+//!   job 1 of row job 2) maintained by `shm-pool`: the pool pushes the job
+//!   index on both its serial and parallel paths, so the set of tracks — and
 //!   every deterministic counter in them — is byte-identical at every
 //!   thread count. [`Collector::snapshot`] merges tracks in lexicographic
 //!   path order, never in completion order.

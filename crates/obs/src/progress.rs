@@ -37,7 +37,7 @@ use std::time::Instant;
 pub struct Config {
     /// Cadence override: emit a frame every `every` units at every site.
     /// `None` keeps each site's own default (states for the explorer,
-    /// schedules for PCT, rounds for the adversary, shards for the audit).
+    /// schedules for PCT, rounds for the adversary, steps for the audit).
     pub every: Option<u64>,
     /// Print a live ticker line to stderr on each emitted frame
     /// (throttled to roughly 10 lines per second).

@@ -20,8 +20,8 @@
 //!   behavioural difference from the pre-pool code.
 //! - **No nested oversubscription.** A `map_indexed` issued from inside a
 //!   pool worker runs serially: the outermost parallel construct owns the
-//!   cores. (E.g. an audited E2 row parallelizes across rows; the audit's own
-//!   shards then run inline within that row's worker.)
+//!   cores. (E.g. E9 parallelizes across rows; each row's explorer fan-out
+//!   then runs inline within that row's worker.)
 //! - **Thread-count resolution.** [`threads`] resolves, in order: an explicit
 //!   [`set_threads`] call, the `CC_DSM_THREADS` environment variable, then
 //!   [`std::thread::available_parallelism`].

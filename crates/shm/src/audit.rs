@@ -4,45 +4,44 @@
 //! checkpoints, rolling-hash fingerprints and event-walk surgery — three
 //! mechanisms that could each hide a silent divergence between the fast path
 //! and ground truth. This module is the ground truth: [`Simulator::audit`]
-//! re-runs a recorded schedule step by step under a *naive* reference
-//! implementation of memory semantics and of each of the four standard cost
-//! models — no checkpoints, no fingerprints, no surgery, no shared code with
-//! the incremental path beyond the type definitions — and diffs, per step,
-//! every operation result, RMR/message/invalidation charge and cache-validity
-//! set, plus the final memory image, [`Totals`] and per-process stats,
-//! against what the fast path recorded.
+//! re-runs a recorded schedule step by step from the spec's initial state
+//! under a *naive* reference implementation of memory semantics and of each
+//! of the four standard cost models — no state restored from a checkpoint,
+//! no fingerprints, no surgery, no shared code with the incremental path
+//! beyond the type definitions — and diffs, per step, every operation
+//! result, RMR/message/invalidation charge and cache-validity set, plus the
+//! final memory image, [`Totals`] and per-process stats, against what the
+//! fast path recorded.
 //!
-//! The walk under the recording's own cost model is a *full* diff (events,
-//! charges, end state); the walks under the remaining standard models check
-//! that the functional stream is model-independent and that the production
-//! [`CostState`] agrees with the naive pricing rules under every model, not
-//! just the one the run happened to use.
+//! A cost model only decides which accesses of an execution are RMRs, so one
+//! walk re-executes the schedule once and prices every access under each
+//! audited model: the recording's own model first, then the remaining
+//! standard models. Under the own model the walk is a *full* diff (events,
+//! charges, end state); under the others it checks that the production
+//! [`CostState`] agrees with the naive pricing rules, not just under the
+//! model the run happened to use. The functional event stream is diffed
+//! once, since it does not depend on the model.
+//!
+//! As the walk passes each interior checkpoint the recording kept, it diffs
+//! its naive state against the checkpoint (events consumed, totals, stats,
+//! memory image, reservations, cache validity), so a divergence that no later
+//! access reads is caught at the next checkpoint rather than only at the end.
+//! Checkpoints are compared against, never trusted.
 //!
 //! The naive reference keeps each cell's cache-validity set in a flat bitset
 //! of its own (⌈n/64⌉ words per cell under the CC models, none under DSM),
 //! with no code shared with [`CostState`]. After every access the two sets
 //! are compared word for word, so one audited access costs O(⌈n/64⌉) word
-//! operations and allocates nothing, however many processes hold a copy.
+//! operations per model and allocates nothing, however many processes hold a
+//! copy.
 //!
 //! On the first divergence the audit stops and reports an
-//! [`AuditDivergence`] naming the schedule step, the process, the memory
-//! location (by label) and the expected vs. actual value — renderable as
-//! JSON for machine consumption by `--audit` drivers. Labels and holder
-//! lists are rendered only then, never on a clean access.
-//!
-//! # Parallel sharding
-//!
-//! The audit's work — four independent model walks, and within the full walk
-//! a linear scan of the schedule — is sharded across the `shm_pool` workers:
-//! one shard per cross-check model, plus one shard per checkpoint-delimited
-//! schedule chunk of the full walk (chunks seed their naive state from the
-//! recording's own [`Checkpoint`]s and re-verify the observable state —
-//! memory image, reservations, cache validity, stats, totals — at the next
-//! checkpoint boundary). The shard list is fixed by the recording alone, every
-//! shard runs to its own completion or first divergence, and the canonical
-//! divergence is chosen by fixed shard order (full-walk chunks in ascending
-//! schedule order — i.e. lowest step — then cross models in standard order),
-//! so the report is identical for every thread count, including `threads=1`.
+//! [`AuditDivergence`] naming the cost model, the schedule step, the process,
+//! the memory location (by label) and the expected vs. actual value —
+//! renderable as JSON for machine consumption by `--audit` drivers. At each
+//! step the own model's checks run before the other models', so the report
+//! names the lowest-step divergence and, within that step, the own model's.
+//! Labels and holder lists are rendered only then, never on a clean access.
 
 use crate::event::Event;
 use crate::history_label::Labels;
@@ -51,10 +50,14 @@ use crate::machine::{Call, CallKind, Step};
 use crate::mem::Memory;
 use crate::model::{AccessCost, CcConfig, CostModel, CostState, Interconnect, Protocol};
 use crate::op::{Applied, Op};
-use crate::sim::{Checkpoint, ProcStats, SimSpec, Simulator, Status, Totals};
+use crate::sim::{Checkpoint, ProcStats, SimSpec, Simulator, Totals};
 use crate::source::CallSource;
+use shm_obs::progress::Meter;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Default progress cadence, in walked schedule steps.
+const PROGRESS_EVERY_STEPS: u64 = 16_384;
 
 /// Structured diagnostic for the first point where the fast path and the
 /// naive reference disagree.
@@ -127,12 +130,13 @@ impl fmt::Display for AuditDivergence {
 /// Outcome of one [`Simulator::audit`] run.
 #[derive(Clone, Debug)]
 pub struct AuditReport {
-    /// Cost models the audit walked (the recording's own model plus the
+    /// Cost models the audit priced (the recording's own model plus the
     /// remaining standard models; a divergence stops the walk early).
     pub models_checked: usize,
-    /// Schedule steps shadow-executed, summed over all model walks.
+    /// Schedule steps shadow-executed, each counted once however many
+    /// models priced it.
     pub steps_checked: usize,
-    /// Recorded events compared, summed over all model walks.
+    /// Recorded events compared, each counted once.
     pub events_checked: usize,
     /// The first divergence found, if any.
     pub divergence: Option<AuditDivergence>,
@@ -196,6 +200,14 @@ fn standard_models() -> [CostModel; 4] {
             interconnect: Interconnect::IdealDirectory,
         }),
     ]
+}
+
+/// The models an audit of an `own`-model recording prices, in walk order:
+/// `own` first, then every other standard model.
+fn audited_models(own: CostModel) -> Vec<CostModel> {
+    let mut models = vec![own];
+    models.extend(standard_models().into_iter().filter(|&m| m != own));
+    models
 }
 
 fn model_label(model: CostModel) -> String {
@@ -268,7 +280,7 @@ fn naive_apply(cell: &mut NaiveCell, pid: ProcId, op: Op) -> (Word, bool, bool) 
     }
 }
 
-/// Words per cell of a walk's naive validity table: one bit per process
+/// Words per cell of a model's naive validity table: one bit per process
 /// under the CC models, none under DSM (which keeps no caches).
 fn naive_stride(model: CostModel, n_procs: usize) -> usize {
     match model {
@@ -386,28 +398,10 @@ struct ShadowProc {
     stats: ProcStats,
 }
 
-/// One shadow walk of a schedule range under one cost model — either the
-/// whole recording, or one checkpoint-delimited chunk of the full walk.
-struct Walk<'a> {
-    sim: &'a Simulator,
-    spec: &'a SimSpec,
-    labels: &'a Labels,
+/// One audited cost model's side of the walk: its naive validity sets and
+/// the production [`CostState`], both advanced by every access.
+struct Pricing {
     model: CostModel,
-    mlabel: String,
-    /// Full diff (events + charges + end state) vs. charge-only cross-check.
-    full: bool,
-    /// First schedule index this walk covers.
-    sched_start: usize,
-    /// One past the last schedule index this walk covers.
-    sched_end: usize,
-    /// One past the last recorded-event index this walk may consume.
-    event_end: usize,
-    cursor: usize,
-    step: usize,
-    /// Schedule steps actually shadow-executed by this walk.
-    steps_walked: usize,
-    events_checked: usize,
-    cells: Vec<NaiveCell>,
     /// Naive cache-validity sets as one flat bitset: cell `a`'s set is
     /// `valid[a * stride..][..stride]` (see [`naive_charge`]).
     valid: Vec<u64>,
@@ -417,103 +411,19 @@ struct Walk<'a> {
     /// a pricing divergence is localized to the `CostState` implementation
     /// (`model.*` fields) rather than to the replay engine (`cost.*` fields).
     fast: CostState,
-    procs: Vec<ShadowProc>,
-    totals: Totals,
+    /// RMRs the naive rules charged so far.
+    rmrs: u64,
 }
 
-impl<'a> Walk<'a> {
-    /// A walk over schedule `[range.0, range.1)` and events
-    /// `[range.2, range.3)`, its state seeded from `seed` (the checkpoint
-    /// closing the previous chunk of the full walk) or fresh from the spec.
-    ///
-    /// A seed is not taken on faith: the chunk that *ends* at that
-    /// checkpoint re-derived the same observable state independently and
-    /// diffed it via [`Walk::check_boundary`], so trust chains inductively
-    /// from the fresh first chunk.
-    fn new(
-        sim: &'a Simulator,
-        spec: &'a SimSpec,
-        model: CostModel,
-        full: bool,
-        range: (usize, usize, usize, usize),
-        seed: Option<&Checkpoint>,
-    ) -> Self {
-        let n_cells = spec.layout.len();
-        let cells = (0..n_cells)
-            .map(|a| {
-                let addr = Addr(a as u32);
-                match seed.map(|c| c.memory()) {
-                    None => NaiveCell {
-                        value: spec.layout.initial_value(addr),
-                        last_writer: None,
-                        reserved: BTreeSet::new(),
-                    },
-                    Some(mem) => NaiveCell {
-                        value: mem.peek(addr),
-                        last_writer: mem.last_writer(addr),
-                        reserved: mem.reservations(addr).collect(),
-                    },
-                }
-            })
-            .collect();
-        let stride = naive_stride(model, spec.n());
-        let mut valid = vec![0; n_cells * stride];
-        if let Some(c) = seed {
-            for a in 0..n_cells {
-                let words = c.cost().holder_words(Addr(a as u32));
-                let k = words.len().min(stride);
-                valid[a * stride..][..k].copy_from_slice(&words[..k]);
-            }
-        }
-        let procs = match seed {
-            None => spec
-                .sources
-                .iter()
-                .map(|s| ShadowProc {
-                    source: s.clone(),
-                    current: None,
-                    last_op_result: None,
-                    last_return: None,
-                    runnable: true,
-                    stats: ProcStats::default(),
-                })
-                .collect(),
-            Some(c) => c
-                .procs()
-                .iter()
-                .map(|p| ShadowProc {
-                    source: p.source.clone(),
-                    current: p.current.clone(),
-                    last_op_result: p.last_op_result,
-                    last_return: p.last_return,
-                    runnable: p.status == Status::Runnable,
-                    stats: p.stats,
-                })
-                .collect(),
-        };
-        Walk {
-            sim,
-            spec,
-            labels: spec.layout.labels(),
+impl Pricing {
+    fn new(model: CostModel, n_procs: usize, n_cells: usize) -> Self {
+        let stride = naive_stride(model, n_procs);
+        Pricing {
             model,
-            mlabel: model_label(model),
-            full,
-            sched_start: range.0,
-            sched_end: range.1,
-            event_end: range.3,
-            cursor: range.2,
-            step: range.0,
-            steps_walked: 0,
-            events_checked: 0,
-            cells,
-            valid,
+            valid: vec![0; n_cells * stride],
             stride,
-            fast: seed.map_or_else(
-                || CostState::new(model, spec.n(), n_cells),
-                |c| c.cost().clone(),
-            ),
-            procs,
-            totals: seed.map_or_else(Totals::default, Checkpoint::totals),
+            fast: CostState::new(model, n_procs, n_cells),
+            rmrs: 0,
         }
     }
 
@@ -521,10 +431,80 @@ impl<'a> Walk<'a> {
     fn naive_set(&self, a: usize) -> &[u64] {
         &self.valid[a * self.stride..(a + 1) * self.stride]
     }
+}
 
-    /// The divergence at recorded event `event`. `at` names the memory
-    /// location involved; its label is rendered only here, once a
-    /// divergence is found.
+/// The shadow walk of one recording: one naive execution, priced under
+/// every audited model.
+struct Walk<'a> {
+    sim: &'a Simulator,
+    spec: &'a SimSpec,
+    labels: &'a Labels,
+    /// Next recorded-event index to consume.
+    cursor: usize,
+    step: usize,
+    /// Schedule steps shadow-executed.
+    steps_walked: usize,
+    events_checked: usize,
+    cells: Vec<NaiveCell>,
+    /// One pricing per audited model, the recording's own model first.
+    prices: Vec<Pricing>,
+    procs: Vec<ShadowProc>,
+    /// Totals under the recording's own model.
+    totals: Totals,
+    meter: Option<Meter>,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk from the spec's initial state, pricing under `models` (the
+    /// recording's own model first).
+    fn new(sim: &'a Simulator, spec: &'a SimSpec, models: &[CostModel]) -> Self {
+        let n_cells = spec.layout.len();
+        let cells = (0..n_cells)
+            .map(|a| NaiveCell {
+                value: spec.layout.initial_value(Addr(a as u32)),
+                last_writer: None,
+                reserved: BTreeSet::new(),
+            })
+            .collect();
+        let procs = spec
+            .sources
+            .iter()
+            .map(|s| ShadowProc {
+                source: s.clone(),
+                current: None,
+                last_op_result: None,
+                last_return: None,
+                runnable: true,
+                stats: ProcStats::default(),
+            })
+            .collect();
+        Walk {
+            sim,
+            spec,
+            labels: spec.layout.labels(),
+            cursor: 0,
+            step: 0,
+            steps_walked: 0,
+            events_checked: 0,
+            cells,
+            prices: models
+                .iter()
+                .map(|&m| Pricing::new(m, spec.n(), n_cells))
+                .collect(),
+            procs,
+            totals: Totals::default(),
+            meter: Meter::new(
+                "audit",
+                crate::model::model_tag(spec.model),
+                PROGRESS_EVERY_STEPS,
+                Some(sim.schedule().len() as u64),
+            ),
+        }
+    }
+
+    /// The divergence at recorded event `event`, under the recording's own
+    /// model. `at` names the memory location involved; its label is
+    /// rendered only here, once a divergence is found.
     fn diverge(
         &self,
         event: usize,
@@ -535,7 +515,7 @@ impl<'a> Walk<'a> {
         actual: impl fmt::Display,
     ) -> AuditDivergence {
         AuditDivergence {
-            model: self.mlabel.clone(),
+            model: model_label(self.prices[0].model),
             step: self.step,
             event,
             pid,
@@ -546,12 +526,11 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Consumes and returns the next recorded event within this walk's event
-    /// range, skipping `Crash` events (crashes are external actions with no
-    /// schedule entry, outside the audit's re-execution scope). `None` when
-    /// the range is exhausted.
+    /// Consumes and returns the next recorded event, skipping `Crash` events
+    /// (crashes are external actions with no schedule entry, outside the
+    /// audit's re-execution scope). `None` when the log is exhausted.
     fn take_recorded(&mut self) -> Option<(usize, Event)> {
-        while self.cursor < self.event_end {
+        while self.cursor < self.sim.history().len() {
             let idx = self.cursor;
             self.cursor += 1;
             let e = self.sim.history().event(idx);
@@ -566,7 +545,7 @@ impl<'a> Walk<'a> {
 
     fn recording_exhausted(&self, pid: ProcId, wanted: &str) -> AuditDivergence {
         self.diverge(
-            self.event_end,
+            self.sim.history().len(),
             Some(pid),
             None,
             "events",
@@ -672,37 +651,78 @@ impl<'a> Walk<'a> {
         None
     }
 
-    /// Shadow-executes one memory access and diffs it against the recording.
+    /// Prices one access under audited model `k` by the naive rules and by
+    /// the production `CostState`, and diffs the two charges and the cell's
+    /// two holder sets. A divergence names recorded event `event` (boxed:
+    /// it is rare, and large next to the charge).
+    fn price(
+        &mut self,
+        k: usize,
+        event: usize,
+        pid: ProcId,
+        addr: Addr,
+        applied: &Applied,
+    ) -> Result<AccessCost, Box<AuditDivergence>> {
+        let owner = self.spec.layout.owner(addr);
+        let n = self.spec.n();
+        let p = &mut self.prices[k];
+        let a = addr.index();
+        let naive = naive_charge(
+            p.model,
+            n,
+            owner,
+            &mut p.valid[a * p.stride..(a + 1) * p.stride],
+            pid,
+            applied.nontrivial,
+            applied.failed_comparison,
+        );
+        let fast = p.fast.charge(pid, addr, owner, applied);
+        p.rmrs += u64::from(naive.rmr);
+        let (naive_set, fast_set) = (p.naive_set(a), p.fast.holder_words(addr));
+        let (field, expected, actual) = if fast.rmr != naive.rmr {
+            ("model.rmr", naive.rmr.to_string(), fast.rmr.to_string())
+        } else if fast.messages != naive.messages {
+            let (want, got) = (naive.messages, fast.messages);
+            ("model.messages", want.to_string(), got.to_string())
+        } else if fast.invalidations != naive.invalidations {
+            let (want, got) = (naive.invalidations, fast.invalidations);
+            ("model.invalidations", want.to_string(), got.to_string())
+        } else if !same_members(naive_set, fast_set) {
+            let (want, got) = (members(naive_set), members(fast_set));
+            ("cache.holders", format!("{want:?}"), format!("{got:?}"))
+        } else {
+            return Ok(naive);
+        };
+        let mut d = self.diverge(event, Some(pid), Some(addr), field, expected, actual);
+        d.model = model_label(self.prices[k].model);
+        Err(Box::new(d))
+    }
+
+    /// Shadow-executes one memory access and diffs it against the recording:
+    /// the own model's pricing, the recorded event, the own model's recorded
+    /// charge, then every other model's pricing.
     fn shadow_access(&mut self, pid: ProcId, op: Op) -> Option<AuditDivergence> {
         let addr = op.addr();
-        let owner = self.spec.layout.owner(addr);
         let cell = &mut self.cells[addr.index()];
         let sees = if matches!(op, Op::Write(..)) {
             None
         } else {
             cell.last_writer.filter(|&q| q != pid)
         };
-        let touches = owner.filter(|&q| q != pid);
+        let touches = self.spec.layout.owner(addr).filter(|&q| q != pid);
         let (result, nontrivial, failed_comparison) = naive_apply(cell, pid, op);
-        let naive = naive_charge(
-            self.model,
-            self.spec.n(),
-            owner,
-            &mut self.valid[addr.index() * self.stride..(addr.index() + 1) * self.stride],
-            pid,
+        let applied = Applied {
+            result,
             nontrivial,
             failed_comparison,
-        );
-        let fastc = self.fast.charge(
-            pid,
-            addr,
-            owner,
-            &Applied {
-                result,
-                nontrivial,
-                failed_comparison,
-            },
-        );
+        };
+        // Pricing divergences name the access's recorded event, next in
+        // the log.
+        let event = self.cursor;
+        let naive = match self.price(0, event, pid, addr, &applied) {
+            Ok(c) => c,
+            Err(d) => return Some(*d),
+        };
         let st = &mut self.procs[pid.index()].stats;
         st.accesses += 1;
         st.rmrs += u64::from(naive.rmr);
@@ -713,53 +733,6 @@ impl<'a> Walk<'a> {
         self.totals.invalidations += naive.invalidations;
         self.procs[pid.index()].last_op_result = Some(result);
 
-        // Production cost model vs. naive pricing rules (all model walks).
-        if fastc.rmr != naive.rmr {
-            return Some(self.diverge(
-                self.cursor,
-                Some(pid),
-                Some(addr),
-                "model.rmr",
-                naive.rmr,
-                fastc.rmr,
-            ));
-        }
-        if fastc.messages != naive.messages {
-            return Some(self.diverge(
-                self.cursor,
-                Some(pid),
-                Some(addr),
-                "model.messages",
-                naive.messages,
-                fastc.messages,
-            ));
-        }
-        if fastc.invalidations != naive.invalidations {
-            return Some(self.diverge(
-                self.cursor,
-                Some(pid),
-                Some(addr),
-                "model.invalidations",
-                naive.invalidations,
-                fastc.invalidations,
-            ));
-        }
-        // Cache-validity state: naive set vs. production holders.
-        let naive_set = self.naive_set(addr.index());
-        let fast_set = self.fast.holder_words(addr);
-        if !same_members(naive_set, fast_set) {
-            return Some(self.diverge(
-                self.cursor,
-                Some(pid),
-                Some(addr),
-                "cache.holders",
-                format!("{:?}", members(naive_set)),
-                format!("{:?}", members(fast_set)),
-            ));
-        }
-
-        // The recorded event (functional fields are model-independent, so
-        // they are diffed in every walk; costs only in the full walk).
         let Some((idx, ev)) = self.take_recorded() else {
             return Some(self.recording_exhausted(pid, "access"));
         };
@@ -818,39 +791,38 @@ impl<'a> Walk<'a> {
                 format!("{rtouches:?}"),
             ));
         }
-        if self.full {
-            if rcost.rmr != naive.rmr {
-                return Some(self.diverge(
-                    idx,
-                    Some(pid),
-                    Some(addr),
-                    "cost.rmr",
-                    naive.rmr,
-                    rcost.rmr,
-                ));
-            }
-            if rcost.messages != naive.messages {
-                return Some(self.diverge(
-                    idx,
-                    Some(pid),
-                    Some(addr),
-                    "cost.messages",
-                    naive.messages,
-                    rcost.messages,
-                ));
-            }
-            if rcost.invalidations != naive.invalidations {
-                return Some(self.diverge(
-                    idx,
-                    Some(pid),
-                    Some(addr),
-                    "cost.invalidations",
-                    naive.invalidations,
-                    rcost.invalidations,
-                ));
-            }
+        if rcost.rmr != naive.rmr {
+            return Some(self.diverge(
+                idx,
+                Some(pid),
+                Some(addr),
+                "cost.rmr",
+                naive.rmr,
+                rcost.rmr,
+            ));
         }
-        None
+        if rcost.messages != naive.messages {
+            return Some(self.diverge(
+                idx,
+                Some(pid),
+                Some(addr),
+                "cost.messages",
+                naive.messages,
+                rcost.messages,
+            ));
+        }
+        if rcost.invalidations != naive.invalidations {
+            return Some(self.diverge(
+                idx,
+                Some(pid),
+                Some(addr),
+                "cost.invalidations",
+                naive.invalidations,
+                rcost.invalidations,
+            ));
+        }
+        (1..self.prices.len())
+            .find_map(|k| self.price(k, event, pid, addr, &applied).err().map(|d| *d))
     }
 
     /// Shadow-executes one schedule step (mirrors `Simulator::step` +
@@ -909,17 +881,15 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// End-state diff (full walk only): totals, per-process stats, memory
-    /// image and cache-validity table.
-    fn check_end_state(&mut self) -> Option<AuditDivergence> {
-        let evlen = self.sim.history().len();
-        let totals = self.sim.totals();
+    /// End-state diff: totals, per-process stats, memory image and
+    /// cache-validity table against the live simulator's final state.
+    fn check_end_state(&self) -> Option<AuditDivergence> {
         let stats: Vec<ProcStats> = (0..self.spec.n())
             .map(|i| self.sim.proc_stats(ProcId(i as u32)))
             .collect();
         self.diff_state(
-            evlen,
-            totals,
+            self.sim.history().len(),
+            self.sim.totals(),
             &stats,
             self.sim.memory(),
             self.sim.cost_state(),
@@ -927,26 +897,34 @@ impl<'a> Walk<'a> {
         )
     }
 
-    /// Boundary diff for a non-final chunk: the naive state re-derived over
-    /// `[sched_start, sched_end)` must match the checkpoint that closes the
-    /// chunk — the same snapshot the *next* chunk seeds from. Reservations
-    /// are included (the end-state diff skips them only because nothing is
-    /// seeded from the final state).
+    /// Boundary diff at an interior checkpoint, as the walk reaches its
+    /// schedule position: the walk must have consumed exactly the events the
+    /// checkpoint covers (crash events aside), and its naive state must match
+    /// the checkpoint's, reservations included.
     fn check_boundary(&mut self, ckpt: &Checkpoint) -> Option<AuditDivergence> {
-        self.step = ckpt.schedule_len();
+        let end = ckpt.history_len();
+        while self.cursor < end
+            && matches!(self.sim.history().event(self.cursor), Event::Crash { .. })
+        {
+            self.cursor += 1;
+        }
+        if self.cursor != end {
+            return Some(self.diverge(
+                self.cursor.min(end),
+                None,
+                None,
+                "events",
+                format!("checkpoint at event {end}"),
+                format!("walk at event {}", self.cursor),
+            ));
+        }
         let stats: Vec<ProcStats> = ckpt.procs().iter().map(|p| p.stats).collect();
-        self.diff_state(
-            ckpt.history_len(),
-            ckpt.totals(),
-            &stats,
-            ckpt.memory(),
-            ckpt.cost(),
-            true,
-        )
+        self.diff_state(end, ckpt.totals(), &stats, ckpt.memory(), ckpt.cost(), true)
     }
 
-    /// Diffs the walk's naive shadow state against an expected observable
-    /// state (the live simulator's final state, or a checkpoint's).
+    /// Diffs the walk's naive shadow state under the recording's own model
+    /// against an expected observable state (a checkpoint's, or the live
+    /// simulator's final state, whose reservations are not diffed).
     fn diff_state(
         &self,
         evlen: usize,
@@ -1048,7 +1026,7 @@ impl<'a> Walk<'a> {
                     format!("{live_rsv:?}"),
                 ));
             }
-            let (naive_set, live_set) = (self.naive_set(a), cost.holder_words(addr));
+            let (naive_set, live_set) = (self.prices[0].naive_set(a), cost.holder_words(addr));
             if !same_members(naive_set, live_set) {
                 return Some(self.diverge(
                     evlen,
@@ -1063,56 +1041,49 @@ impl<'a> Walk<'a> {
         None
     }
 
-    /// Walks this walk's schedule range, re-applying injections at their
-    /// recorded positions (same loop as the simulator's re-step erasure
-    /// path, but with no erasure and no fingerprints).
-    ///
-    /// `end_ckpt` is `Some` for a non-final chunk: instead of the end-of-run
-    /// checks, the chunk verifies its re-derived state against the closing
-    /// checkpoint. Injections with `at == sched_end` belong to the next chunk
-    /// (they were recorded after the closing checkpoint was taken, and apply
-    /// before that chunk's first step).
-    fn run(&mut self, end_ckpt: Option<&Checkpoint>) -> Option<AuditDivergence> {
-        let injections = self.sim.injections();
-        let mut next_inj = injections.partition_point(|inj| inj.at < self.sched_start);
-        for i in self.sched_start..self.sched_end {
+    /// Walks the whole schedule, re-applying injections at their recorded
+    /// positions (same loop as the simulator's re-step erasure path, but with
+    /// no erasure and no fingerprints), then diffs the end state. Each
+    /// interior checkpoint is diffed when the walk reaches its schedule
+    /// position, before the injections recorded there, which came after it.
+    fn run(&mut self) -> Option<AuditDivergence> {
+        let sim = self.sim;
+        let (schedule, injections) = (sim.schedule(), sim.injections());
+        let mut ckpts: Vec<&Checkpoint> = sim
+            .checkpoints()
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|c| (1..schedule.len()).contains(&c.schedule_len()))
+            .collect();
+        ckpts.sort_by_key(|c| c.schedule_len());
+        let (mut next_ckpt, mut next_inj) = (0, 0);
+        for (i, &pid) in schedule.iter().enumerate() {
             self.step = i;
-            loop {
-                let inj = match injections.get(next_inj) {
-                    Some(inj) if inj.at <= i => (inj.pid, inj.call.clone()),
-                    _ => break,
-                };
-                next_inj += 1;
-                if let Some(d) = self.apply_injection(inj.0, inj.1) {
+            while let Some(c) = ckpts.get(next_ckpt).filter(|c| c.schedule_len() == i) {
+                next_ckpt += 1;
+                if let Some(d) = self.check_boundary(c) {
                     return Some(d);
                 }
             }
-            let pid = self.sim.schedule()[i];
+            while let Some(inj) = injections.get(next_inj).filter(|inj| inj.at <= i) {
+                next_inj += 1;
+                if let Some(d) = self.apply_injection(inj.pid, inj.call.clone()) {
+                    return Some(d);
+                }
+            }
             self.steps_walked += 1;
             if let Some(d) = self.shadow_step(pid) {
                 return Some(d);
             }
-        }
-        self.step = self.sched_end;
-        if let Some(ckpt) = end_ckpt {
-            // Non-final chunk: nothing but crashes may remain in the chunk's
-            // event range, and the state must match the closing checkpoint.
-            if let Some((idx, ev)) = self.take_recorded() {
-                return Some(self.diverge(
-                    idx,
-                    Some(ev.pid()),
-                    None,
-                    "events",
-                    "checkpoint boundary",
-                    format!("{ev:?} beyond chunk"),
-                ));
+            if let Some(m) = &mut self.meter {
+                if m.tick(1) {
+                    m.emit(&[("events", self.events_checked as u64)]);
+                }
             }
-            return self.check_boundary(ckpt);
         }
-        while let Some(inj) = injections.get(next_inj) {
-            let (ipid, icall) = (inj.pid, inj.call.clone());
-            next_inj += 1;
-            if let Some(d) = self.apply_injection(ipid, icall) {
+        self.step = schedule.len();
+        for inj in &injections[next_inj..] {
+            if let Some(d) = self.apply_injection(inj.pid, inj.call.clone()) {
                 return Some(d);
             }
         }
@@ -1128,142 +1099,30 @@ impl<'a> Walk<'a> {
                 format!("{ev:?} beyond shadow execution"),
             ));
         }
-        if self.full {
-            self.check_end_state()
-        } else {
-            None
-        }
+        self.check_end_state()
     }
 }
 
-/// One unit of parallel audit work: a chunk of the full walk, or a whole
-/// cross-model walk. The shard list is a pure function of the recording, so
-/// it is identical for every thread count.
-struct ShardSpec {
-    model: CostModel,
-    full: bool,
-    sched_start: usize,
-    sched_end: usize,
-    event_start: usize,
-    event_end: usize,
-    /// Checkpoint index to seed the chunk's state from (`None` = fresh).
-    seed: Option<usize>,
-    /// Checkpoint index closing a non-final chunk (`None` = run to the end).
-    end_ckpt: Option<usize>,
-}
-
-/// Runs the full differential audit for [`Simulator::audit`] on up to
-/// `threads` pool workers. The report — counts and canonical divergence — is
-/// deterministic and thread-count independent: shards are fixed by the
-/// recording, every shard runs to its own completion or first divergence, and
-/// the canonical divergence is the first one in fixed shard order (full-walk
-/// chunks ascending by schedule position, so the lowest step wins, then the
-/// cross-check models in standard order).
-pub(crate) fn run_audit(sim: &Simulator, spec: &SimSpec, threads: usize) -> AuditReport {
-    let mut models = vec![spec.model];
-    for m in standard_models() {
-        if m != spec.model {
-            models.push(m);
-        }
+/// Runs the differential audit for [`Simulator::audit`]: one walk of the
+/// recording, priced under every [`audited_models`] model.
+pub(crate) fn run_audit(sim: &Simulator, spec: &SimSpec) -> AuditReport {
+    let _span = shm_obs::Span::enter("audit.walk");
+    let models = audited_models(spec.model);
+    let mut walk = Walk::new(sim, spec, &models);
+    let divergence = walk.run();
+    shm_obs::counter!("audit.steps", walk.steps_walked as u64);
+    shm_obs::counter!("audit.events", walk.events_checked as u64);
+    for p in &walk.prices {
+        shm_obs::counter!("audit.rmr", p.rmrs, model: crate::model::model_tag(p.model));
     }
-    let schedule_len = sim.schedule().len();
-    let event_len = sim.history().len();
-    let ckpts = sim.checkpoints();
-    // Chunk boundaries for the full walk: interior checkpoints, in schedule
-    // order. (Checkpoints are recorded in increasing schedule_len order;
-    // dedup defensively in case of repeats.)
-    let mut interior: Vec<usize> = (0..ckpts.len())
-        .filter(|&c| ckpts[c].schedule_len() > 0 && ckpts[c].schedule_len() < schedule_len)
-        .collect();
-    interior.sort_by_key(|&c| ckpts[c].schedule_len());
-    interior.dedup_by_key(|c| ckpts[*c].schedule_len());
-
-    let mut shards = Vec::with_capacity(interior.len() + models.len());
-    let full_model = models[0];
-    let (mut sched_start, mut event_start, mut seed) = (0usize, 0usize, None);
-    for &c in &interior {
-        shards.push(ShardSpec {
-            model: full_model,
-            full: true,
-            sched_start,
-            sched_end: ckpts[c].schedule_len(),
-            event_start,
-            event_end: ckpts[c].history_len(),
-            seed,
-            end_ckpt: Some(c),
-        });
-        sched_start = ckpts[c].schedule_len();
-        event_start = ckpts[c].history_len();
-        seed = Some(c);
-    }
-    shards.push(ShardSpec {
-        model: full_model,
-        full: true,
-        sched_start,
-        sched_end: schedule_len,
-        event_start,
-        event_end: event_len,
-        seed,
-        end_ckpt: None,
-    });
-    for &model in &models[1..] {
-        shards.push(ShardSpec {
-            model,
-            full: false,
-            sched_start: 0,
-            sched_end: schedule_len,
-            event_start: 0,
-            event_end: event_len,
-            seed: None,
-            end_ckpt: None,
-        });
-    }
-
-    // Created on the serial submitting path (deterministic track/label);
-    // each parallel shard ticks one unit.
-    let shard_count = shards.len() as u64;
-    let meter = shm_obs::progress::SharedMeter::new("audit", "shards", 256, Some(shard_count));
-    let results = shm_pool::map_indexed(threads, shards, |_, s| {
-        let _span = shm_obs::Span::enter("audit.shard");
-        if let Some(m) = &meter {
-            m.tick();
-        }
-        // Seeded chunks start from the checkpoint's accumulated totals; the
-        // shard's own re-priced charge is the delta past that seed.
-        let seed_rmrs = s.seed.map_or(0, |c| ckpts[c].totals().rmrs);
-        let mtag = crate::model::model_tag(s.model);
-        let mut walk = Walk::new(
-            sim,
-            spec,
-            s.model,
-            s.full,
-            (s.sched_start, s.sched_end, s.event_start, s.event_end),
-            s.seed.map(|c| ckpts[c].as_ref()),
-        );
-        let d = walk.run(s.end_ckpt.map(|c| ckpts[c].as_ref()));
-        shm_obs::counter!("audit.shards");
-        shm_obs::counter!("audit.steps", walk.steps_walked as u64);
-        shm_obs::counter!("audit.events", walk.events_checked as u64);
-        shm_obs::counter!("audit.rmr", walk.totals.rmrs - seed_rmrs, model: mtag);
-        (walk.steps_walked, walk.events_checked, d)
-    });
-
-    let mut report = AuditReport {
+    let report = AuditReport {
         models_checked: models.len(),
-        steps_checked: 0,
-        events_checked: 0,
-        divergence: None,
+        steps_checked: walk.steps_walked,
+        events_checked: walk.events_checked,
+        divergence,
     };
-    for (steps, events, d) in results {
-        report.steps_checked += steps;
-        report.events_checked += events;
-        if report.divergence.is_none() {
-            report.divergence = d;
-        }
-    }
-    if let Some(m) = &meter {
+    if let Some(m) = &mut walk.meter {
         m.summary(&[
-            ("shards", shard_count),
             ("models", report.models_checked as u64),
             ("steps", report.steps_checked as u64),
             ("events", report.events_checked as u64),
@@ -1403,7 +1262,7 @@ mod tests {
     }
 
     #[test]
-    fn tampered_result_is_caught_in_cross_model_walks_too() {
+    fn tampered_result_is_caught_in_a_cc_recording() {
         let spec = mixed_spec(3, 2, CostModel::cc_default());
         let mut sim = Simulator::new(&spec);
         assert!(run_to_completion(
@@ -1619,135 +1478,140 @@ mod tests {
         }
     }
 
-    /// Adds pid 129, a member of the third validity word, to cell `A`'s
-    /// naive set.
-    fn add_pid_129_to_a(walk: &mut Walk<'_>) {
-        assert_eq!(walk.stride, 3, "130 processes take three words");
-        walk.valid[2] |= 1 << 1;
+    /// Adds pid 129, a member of the third validity word, to `addr`'s naive
+    /// set under the walk's `k`-th model.
+    fn add_pid_129(walk: &mut Walk<'_>, k: usize, addr: Addr) {
+        let p = &mut walk.prices[k];
+        assert_eq!(p.stride, 3, "130 processes take three words");
+        p.valid[addr.index() * p.stride + 2] |= 1 << 1;
     }
 
-    /// The `cache.holders` check compares whole sets, past the first word:
-    /// a naive set with one extra member is caught by the access-time check
-    /// on the next access to the cell, and, when the chunk never touches
-    /// the cell again, by the boundary diff at the closing checkpoint.
-    /// Both sides render as ascending `ProcId` lists.
+    /// Runs pid 3 first, then every other process, each to completion.
+    fn reader_first(spec: &SimSpec, interval: Option<usize>) -> Simulator {
+        let mut sim = Simulator::new(spec);
+        if let Some(iv) = interval {
+            sim.enable_checkpoints(iv);
+        }
+        for p in std::iter::once(3).chain((0..spec.n() as u32).filter(|&p| p != 3)) {
+            while sim.step(ProcId(p)) != crate::sim::StepReport::NotRunnable {}
+        }
+        assert!(sim.audit(spec).is_clean());
+        sim
+    }
+
+    /// An extra naive holder that no later access reads is caught by the
+    /// state diffs, which compare whole sets, past the first word: by the
+    /// next interior checkpoint's boundary diff with checkpoints every 8
+    /// steps, and by the end-state diff with checkpoints off. Nothing touches
+    /// `M[3]`, so no access-time check sees it. Both sides render as
+    /// ascending `ProcId` lists.
     #[test]
-    fn extra_naive_holder_past_the_first_word_is_caught() {
+    fn extra_naive_holder_is_caught_by_the_state_diffs() {
         let model = CostModel::Cc(CcConfig {
             protocol: Protocol::WriteThrough,
             lfcu: false,
             interconnect: Interconnect::IdealDirectory,
         });
-        let n = 130;
-        let spec = one_reader_spec(n, model);
+        let spec = one_reader_spec(130, model);
+        let m3 = Addr(4);
+        assert_eq!(spec.layout.labels().name(m3), "M[3]");
         for interval in [None, Some(8)] {
-            let mut sim = Simulator::new(&spec);
-            if let Some(iv) = interval {
-                sim.enable_checkpoints(iv);
-            }
-            // Pid 3 reads A first and is done; nothing touches A after it.
-            for p in std::iter::once(3).chain((0..n as u32).filter(|&p| p != 3)) {
-                while sim.step(ProcId(p)) != crate::sim::StepReport::NotRunnable {}
-            }
-            assert!(sim.audit_with_threads(&spec, 1).is_clean());
-            let (sched_len, ev_len) = (sim.schedule().len(), sim.history().len());
-            let d = match interval {
-                None => {
-                    let mut walk =
-                        Walk::new(&sim, &spec, model, true, (0, sched_len, 0, ev_len), None);
-                    add_pid_129_to_a(&mut walk);
-                    let d = walk.run(None).expect("extra holder caught");
-                    assert_eq!((d.step, d.event, d.pid), (0, 1, Some(ProcId(3))));
-                    d
-                }
+            let sim = reader_first(&spec, interval);
+            let mut walk = Walk::new(&sim, &spec, &audited_models(model));
+            add_pid_129(&mut walk, 0, m3);
+            let d = walk.run().expect("extra holder caught");
+            let (step, event) = match interval {
+                None => (sim.schedule().len(), sim.history().len()),
                 Some(_) => {
-                    // The second chunk: seeded after pid 3's read, it never
-                    // touches A, so only its closing boundary diff can see
-                    // the extra member.
-                    let ckpts = sim.checkpoints();
-                    let (open, close) = (&ckpts[1], &ckpts[2]);
-                    assert!(open.schedule_len() > 3, "pid 3 is done before the chunk");
-                    let range = (
-                        open.schedule_len(),
-                        close.schedule_len(),
-                        open.history_len(),
-                        close.history_len(),
-                    );
-                    let mut walk = Walk::new(&sim, &spec, model, true, range, Some(open));
-                    add_pid_129_to_a(&mut walk);
-                    let d = walk.run(Some(close)).expect("extra holder caught");
-                    assert_eq!(
-                        (d.step, d.event, d.pid),
-                        (close.schedule_len(), close.history_len(), None)
-                    );
-                    d
+                    let first = &sim.checkpoints()[1];
+                    assert_eq!(first.schedule_len(), 8, "the first interior checkpoint");
+                    (first.schedule_len(), first.history_len())
                 }
             };
+            assert_eq!((d.step, d.event, d.pid), (step, event, None));
             assert_eq!(d.model, "cc-wt-dir");
             assert_eq!(d.field, "cache.holders");
-            assert_eq!(d.location, "A");
-            assert_eq!(d.expected, "[ProcId(3), ProcId(129)]");
-            assert_eq!(d.actual, "[ProcId(3)]");
+            assert_eq!(d.location, "M[3]");
+            assert_eq!(d.expected, "[ProcId(129)]");
+            assert_eq!(d.actual, "[]");
         }
     }
 
-    /// The chunked full walk reports what one unchunked walk of the same
-    /// schedule reports: the same clean report, and, with the same recorded
-    /// charge tampered inside a middle chunk, the same divergence.
+    /// Every audited model's holder sets are diffed at access time, not
+    /// just the recording's own: in a DSM recording, an extra member of the
+    /// cc-wt-dir set of `A` is reported under cc-wt-dir at pid 3's read.
     #[test]
-    fn chunked_audit_matches_one_walk() {
+    fn extra_holder_under_a_cross_priced_model_is_caught() {
+        let spec = one_reader_spec(130, CostModel::Dsm);
+        let sim = reader_first(&spec, None);
+        let models = audited_models(CostModel::Dsm);
+        let k = models
+            .iter()
+            .position(|&m| model_label(m) == "cc-wt-dir")
+            .expect("cc-wt-dir is audited");
+        let mut walk = Walk::new(&sim, &spec, &models);
+        add_pid_129(&mut walk, k, Addr(0));
+        let d = walk.run().expect("extra holder caught");
+        assert_eq!((d.step, d.event, d.pid), (0, 1, Some(ProcId(3))));
+        assert_eq!(d.field, "cache.holders");
+        assert_eq!(d.location, "A");
+        assert_eq!(d.expected, "[ProcId(3), ProcId(129)]");
+        assert_eq!(d.actual, "[ProcId(3)]");
+        let json = d.to_json();
+        assert!(json.contains("\"model\": \"cc-wt-dir\""), "{json}");
+    }
+
+    /// Checkpoints change nothing a report says. Under every standard model,
+    /// a recording with checkpoints every 8 steps and the same schedule
+    /// re-stepped with checkpoints off give byte-identical reports, clean
+    /// and with the same recorded charge tampered between two checkpoints.
+    #[test]
+    fn report_is_the_same_with_checkpoints_off_and_every_8_steps() {
         for model in standard_models() {
             let spec = mixed_spec(5, 4, model);
-            let mut chunked = Simulator::new(&spec);
-            chunked.enable_checkpoints(8);
+            let mut ckpted = Simulator::new(&spec);
+            ckpted.enable_checkpoints(8);
             assert!(run_to_completion(
-                &mut chunked,
+                &mut ckpted,
                 &mut SeededRandom::new(23),
                 1_000_000
             ));
-            let mut whole = Simulator::new(&spec);
-            for &p in chunked.schedule() {
-                let _ = whole.step(p);
+            let mut plain = Simulator::new(&spec);
+            for &p in ckpted.schedule() {
+                let _ = plain.step(p);
             }
-            assert_eq!(whole.schedule(), chunked.schedule());
-            assert_eq!(whole.checkpoint_count(), 0);
+            assert_eq!(plain.schedule(), ckpted.schedule());
+            assert_eq!(plain.checkpoint_count(), 0);
 
-            let clean = chunked.audit_with_threads(&spec, 1);
+            let clean = ckpted.audit(&spec);
             assert!(clean.is_clean(), "{model:?}: {}", clean.divergence.unwrap());
-            assert_eq!(
-                clean.to_json(),
-                whole.audit_with_threads(&spec, 1).to_json(),
-                "{model:?}"
-            );
+            assert_eq!(clean.to_json(), plain.audit(&spec).to_json(), "{model:?}");
 
-            // An access in the second chunk, which runs from checkpoint 1 to
-            // checkpoint 2 (checkpoint 0 is the initial state) and is followed
-            // by at least one more chunk.
-            let ckpts = chunked.checkpoints();
+            // An access between checkpoints 1 and 2 (checkpoint 0 is the
+            // initial state), with more checkpoints after it.
+            let ckpts = ckpted.checkpoints();
             assert!(ckpts.len() >= 4, "{model:?}: {} checkpoints", ckpts.len());
             let (open, close) = (&ckpts[1], &ckpts[2]);
             let steps = (open.schedule_len(), close.schedule_len());
             let idx = (open.history_len() + 1..close.history_len())
-                .find(|&i| matches!(chunked.history().event(i), Event::Access { .. }))
-                .expect("the chunk holds an access");
-            for sim in [&mut chunked, &mut whole] {
+                .find(|&i| matches!(ckpted.history().event(i), Event::Access { .. }))
+                .expect("an access between the checkpoints");
+            for sim in [&mut ckpted, &mut plain] {
                 if let Some(Event::Access { cost, .. }) = sim.history_mut().events_mut().nth(idx) {
                     cost.rmr = !cost.rmr;
                 }
             }
-            let d = chunked
-                .audit_with_threads(&spec, 1)
-                .divergence
-                .expect("tamper caught");
+            let tampered = ckpted.audit(&spec);
+            let d = tampered.divergence.as_ref().expect("tamper caught");
             assert_eq!((d.field.as_str(), d.event), ("cost.rmr", idx), "{model:?}");
             assert!(
                 steps.0 <= d.step && d.step < steps.1,
-                "{model:?}: step {} in a middle chunk",
+                "{model:?}: step {} between the checkpoints",
                 d.step
             );
             assert_eq!(
-                Some(d),
-                whole.audit_with_threads(&spec, 1).divergence,
+                tampered.to_json(),
+                plain.audit(&spec).to_json(),
                 "{model:?}"
             );
         }

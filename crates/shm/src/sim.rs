@@ -178,8 +178,8 @@ pub(crate) struct Injection {
 /// latest state before the erased processes' first step instead of from
 /// scratch — the re-step path restores one; the DSM event walk rolls each
 /// live cell it reaches back to one's memory image, cell by cell, and
-/// bounds where the history surgery starts — and shard the audit's
-/// re-execution.
+/// bounds where the history surgery starts. The audit diffs its walk against
+/// each one it passes, and seeds nothing from them.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     schedule_len: usize,
@@ -208,22 +208,23 @@ impl Checkpoint {
         self.history_len
     }
 
-    /// The snapshotted memory image (audit chunk seeding).
+    /// The snapshotted memory image (the audit's boundary diff).
     pub(crate) fn memory(&self) -> &Memory {
         &self.memory
     }
 
-    /// The snapshotted cost-model state (audit chunk seeding).
+    /// The snapshotted cost-model state (the audit's boundary diff).
     pub(crate) fn cost(&self) -> &CostState {
         &self.cost
     }
 
-    /// The snapshotted per-process machines (audit chunk seeding).
+    /// The snapshotted per-process state (the audit's boundary diff reads
+    /// the stats).
     pub(crate) fn procs(&self) -> &[Arc<ProcState>] {
         &self.procs
     }
 
-    /// The snapshotted aggregate totals (audit chunk seeding).
+    /// The snapshotted aggregate totals (the audit's boundary diff).
     pub(crate) fn totals(&self) -> Totals {
         self.totals
     }
@@ -970,7 +971,7 @@ impl Simulator {
     }
 
     /// The recorded checkpoints, in increasing `schedule_len` order. The
-    /// audit layer uses them as shard boundaries for parallel re-pricing.
+    /// audit diffs its walk against each interior one as it passes it.
     pub(crate) fn checkpoints(&self) -> &[Arc<Checkpoint>] {
         &self.checkpoints
     }
@@ -983,29 +984,29 @@ impl Simulator {
     }
 
     /// Differentially audits this execution against a naive shadow executor:
-    /// the recorded schedule (and injections) are re-run step by step under
-    /// an independent reference implementation of memory semantics and of
-    /// each of the four standard cost models — no checkpoints, no
-    /// fingerprints, no event-walk surgery — and every per-step result,
-    /// RMR/message/invalidation charge, cache-validity set, the final memory
-    /// image and the final [`Totals`]/per-process stats are diffed against
-    /// the fast incremental path. See [`crate::audit`] for the report format.
+    /// one serial walk re-runs the recorded schedule (and injections) step by
+    /// step from the spec's initial state under an independent reference
+    /// implementation of memory semantics, pricing every access under each
+    /// of the four standard cost models — no state restored from a
+    /// checkpoint, no fingerprints, no event-walk surgery — and every
+    /// per-step result, RMR/message/invalidation charge and cache-validity
+    /// set, the state at each retained checkpoint, and the final memory image
+    /// and [`Totals`]/per-process stats are diffed against the fast
+    /// incremental path. See [`crate::audit`] for the report format.
     ///
     /// `spec` must be the spec this simulator was built from. The audit is
     /// read-only and returns on the *first* divergence found.
     #[must_use]
     pub fn audit(&self, spec: &SimSpec) -> crate::audit::AuditReport {
-        crate::audit::run_audit(self, spec, shm_pool::threads())
+        crate::audit::run_audit(self, spec)
     }
 
-    /// [`Simulator::audit`] with an explicit worker-thread count instead of
-    /// the process-wide `shm_pool` default. `threads == 1` is the exact
-    /// serial audit; any thread count yields an identical report (shards are
-    /// fixed by the recording, and the canonical divergence is the one with
-    /// the lowest step regardless of completion order).
+    /// [`Simulator::audit`]. The audit is one serial walk, so `_threads` is
+    /// ignored; the repository benchmark (`benchmark/src/layers.rs`) still
+    /// calls this form.
     #[must_use]
-    pub fn audit_with_threads(&self, spec: &SimSpec, threads: usize) -> crate::audit::AuditReport {
-        crate::audit::run_audit(self, spec, threads)
+    pub fn audit_with_threads(&self, spec: &SimSpec, _threads: usize) -> crate::audit::AuditReport {
+        self.audit(spec)
     }
 
     /// Flushes the **final** history's per-access cost attribution to the
@@ -1563,8 +1564,8 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    /// The parallel orchestration (pool-sharded audits, row fan-outs)
-    /// depends on whole simulators being shareable across scoped workers.
+    /// The parallel orchestration (row fan-outs) depends on whole
+    /// simulators being shareable across scoped workers.
     #[test]
     fn simulator_state_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

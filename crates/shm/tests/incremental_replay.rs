@@ -461,36 +461,6 @@ fn audit_is_clean_after_call_injection() {
     }
 }
 
-/// Audit tier, parallel sharding: the audit report — counts and (absent)
-/// divergence — is byte-identical whether the shards run on one worker (the
-/// exact serial path) or four, with and without checkpoints to chunk the
-/// full walk on.
-#[test]
-fn audit_report_is_thread_count_independent() {
-    for model in all_models() {
-        for interval in [None, Some(8)] {
-            let spec = workload(6, 3, model);
-            let mut sim = Simulator::new(&spec);
-            if let Some(iv) = interval {
-                sim.enable_checkpoints(iv);
-            }
-            run_to_completion(&mut sim, &mut SeededRandom::new(77), 1_000_000);
-            let serial = sim.audit_with_threads(&spec, 1);
-            let parallel = sim.audit_with_threads(&spec, 4);
-            assert_eq!(
-                serial.to_json(),
-                parallel.to_json(),
-                "{model:?} interval={interval:?}"
-            );
-            assert!(
-                serial.is_clean(),
-                "{model:?}: {}",
-                serial.divergence.unwrap()
-            );
-        }
-    }
-}
-
 /// Checkpoint thinning keeps memory bounded (≤ 96 checkpoints) without
 /// breaking erasure exactness, even at interval 1: after thinning, every
 /// single-process erasure still matches the reference, and both verdicts
