@@ -835,4 +835,124 @@ mod tests {
         };
         assert_eq!(run(), run());
     }
+
+    /// A test algorithm replaying a fixed script per process: poll `k` of
+    /// `p` reads `p`'s local counter `C[p]`, bumps it and performs entry
+    /// `k` of `p`'s script, `(true, i)` a write of global `G[i]` and
+    /// `(false, i)` a read, so each entry is one Part-1 round's pending RMR.
+    /// Past its script a poll only reads `C[p]`: `p` is stable. One value
+    /// is both the algorithm instance and, with `me` and `at` set, a poll.
+    #[derive(Clone)]
+    struct Scripted {
+        script: Arc<Vec<Vec<(bool, usize)>>>,
+        g: shm_sim::AddrRange,
+        c: shm_sim::AddrRange,
+        me: usize,
+        at: u8,
+    }
+
+    impl SignalingAlgorithm for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn primitive_class(&self) -> signaling::PrimitiveClass {
+            signaling::PrimitiveClass::ReadWrite
+        }
+        fn instantiate(
+            &self,
+            layout: &mut shm_sim::MemLayout,
+            n: usize,
+        ) -> Arc<dyn AlgorithmInstance> {
+            let g = layout.alloc_global_array(4, 0);
+            let c = layout.alloc_per_process_array(n, 0);
+            Arc::new(Scripted {
+                g,
+                c,
+                ..self.clone()
+            })
+        }
+    }
+
+    impl AlgorithmInstance for Scripted {
+        fn signal_call(&self, _pid: ProcId) -> Box<dyn shm_sim::ProcedureCall> {
+            Box::new(shm_sim::ReturnConst(0))
+        }
+        fn poll_call(&self, pid: ProcId) -> Box<dyn shm_sim::ProcedureCall> {
+            Box::new(Scripted {
+                me: pid.index(),
+                ..self.clone()
+            })
+        }
+    }
+
+    impl shm_sim::ProcedureCall for Scripted {
+        fn step(&mut self, last: Option<shm_sim::Word>) -> shm_sim::Step {
+            let (script, c) = (&self.script[self.me], self.c.at(self.me));
+            self.at += 1;
+            shm_sim::Step::Op(match (self.at, last.map(|w| w as usize)) {
+                (1, _) => Op::Read(c),
+                (2, Some(k)) if k < script.len() => Op::Write(c, k as u64 + 1),
+                (3, Some(k)) => match script[k - 1] {
+                    (true, i) => Op::Write(self.g.at(i), 1),
+                    (false, i) => Op::Read(self.g.at(i)),
+                },
+                _ => return shm_sim::Step::Return(0),
+            })
+        }
+        fn clone_call(&self) -> Box<dyn shm_sim::ProcedureCall> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Part 1's prior-writer check (regularity condition 3) in the erasing
+    /// case. Round 1: p0 writes `G[0]`, p3 writes `G[2]`, and p1, p2 and p4
+    /// read. Round 2: p0 writes `G[1]`, p1 writes `G[0]` and p4 writes
+    /// `G[2]`, one writer per cell, so every writer is kept at first.
+    /// * p1's prior writer p0 is a kept writer too: the conflict graph gets
+    ///   the edge p0–p1, and its independent set keeps p0 (lower pid).
+    /// * p4's prior writer p3 is active but not a kept writer (it is
+    ///   stable): p4 is erased.
+    /// * p2 only read `G[1]`, so p0's write there conflicts with no one.
+    ///
+    /// Both erasure paths erase exactly {p1, p4}, in round 2.
+    #[test]
+    fn erasing_case_resolves_prior_writer_conflicts() {
+        let (r, w) = (|i| (false, i), |i| (true, i));
+        let unset = shm_sim::MemLayout::new().alloc_global_array(0, 0);
+        let algo = Scripted {
+            script: Arc::new(vec![
+                vec![w(0), w(1)],
+                vec![r(3), w(0)],
+                vec![r(1)],
+                vec![w(2)],
+                vec![r(3), w(2)],
+            ]),
+            g: unset,
+            c: unset,
+            me: 0,
+            at: 0,
+        };
+        for incremental in [true, false] {
+            let cfg = Part1Config {
+                n: 5,
+                incremental,
+                ..Part1Config::default()
+            };
+            let mut runner = Part1Runner::new(&algo, cfg);
+            let out = runner.run();
+            let erased: Vec<_> = out.rounds.iter().map(|r| r.erased.clone()).collect();
+            let p14 = BTreeSet::from([ProcId(1), ProcId(4)]);
+            assert_eq!(
+                erased,
+                [BTreeSet::new(), p14, BTreeSet::new()],
+                "{incremental}"
+            );
+            assert!(out.stabilized && out.regular && out.blocked_erasures == 0);
+            assert!(out.rounds.iter().all(|r| !r.roll_forward_case));
+            assert_eq!(
+                out.stable,
+                BTreeSet::from([ProcId(0), ProcId(2), ProcId(3)])
+            );
+        }
+    }
 }
