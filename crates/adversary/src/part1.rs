@@ -520,9 +520,12 @@ impl Part1Runner {
             // about to write a cell previously written by another active
             // process conflicts with it.
             let mut graph = ConflictGraph::new(kept.iter().copied());
+            let writers = self.sim.history().cell_writers();
             for &p in &kept {
-                let addr = pending[&p].addr();
-                for q in self.sim.memory().writers(addr) {
+                let Some(prior) = writers.get(&pending[&p].addr()) else {
+                    continue;
+                };
+                for &q in &prior.all {
                     if q != p && self.is_active(q) {
                         if kept.contains(&q) {
                             graph.add_edge(p, q);

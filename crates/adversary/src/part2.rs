@@ -19,6 +19,10 @@
 //!   against the full stable population (Ω(#stable) for correct broadcast-
 //!   style algorithms) and checking the spec with post-signal polls.
 //!
+//! A refused erasure leaves the execution unchanged, so a chase that erased
+//! no one stepped exactly the execution discovery would step: its run
+//! doubles as the discovery ([`run_lower_bound`]).
+//!
 //! The headline quantity is `amortized = total RMRs / participants` of the
 //! final history; Theorem 6.2 says it exceeds any constant for read/write/
 //! CAS/LLSC algorithms once N is large enough.
@@ -60,8 +64,9 @@ impl LowerBoundConfig {
     }
 }
 
-/// Result of one phase of Part 2 (chase or discovery).
-#[derive(Clone, Debug)]
+/// Result of one phase of Part 2 (chase or discovery). A discovery taken
+/// over from an erasure-free chase is the chase's run with `blocked` 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignalRun {
     /// The signaler used.
     pub signaler: ProcId,
@@ -130,7 +135,9 @@ pub struct LowerBoundReport {
     pub part1: Part1Outcome,
     /// Erase-on-sight run (absent when Part 1 never stabilized).
     pub chase: Option<SignalRun>,
-    /// No-erasure run (absent when Part 1 never stabilized).
+    /// No-erasure run (absent when Part 1 never stabilized). When the chase
+    /// erased no one it stepped this very execution, so this is the chase's
+    /// run with `blocked` set to 0 and discovery is not run again.
     pub discovery: Option<SignalRun>,
     /// Wall-clock breakdown of the run's phases.
     pub timings: PhaseTimings,
@@ -213,22 +220,21 @@ impl LowerBoundReport {
 
 /// Picks the signaler: a process that took no steps and whose memory module
 /// was never written (the lemma's choice), falling back to any non-finished
-/// process with an unwritten module.
+/// process with an unwritten module. A module's writers are read off the
+/// Part-1 history ([`shm_sim::History::cell_writers`]).
 #[must_use]
 pub fn choose_signaler(runner: &Part1Runner, n: usize) -> Option<ProcId> {
     let mem = runner.sim.memory();
-    let mut written_modules: BTreeSet<ProcId> = BTreeSet::new();
-    for i in 0..mem.len() {
-        let a = shm_sim::Addr(i as u32);
-        if let Some(owner) = mem.owner(a) {
-            // Only writes by *other* processes disqualify a module: the
-            // lemma needs "p has never written memory local to s", and a
-            // process writing its own module is harmless.
-            if mem.writers(a).any(|w| w != owner) {
-                written_modules.insert(owner);
-            }
-        }
-    }
+    // Only writes by *other* processes disqualify a module: the lemma needs
+    // "p has never written memory local to s", and a process writing its
+    // own module is harmless.
+    let written_modules: BTreeSet<ProcId> = runner
+        .sim
+        .history()
+        .cell_writers()
+        .into_iter()
+        .filter_map(|(a, w)| mem.owner(a).filter(|&o| w.all.iter().any(|&q| q != o)))
+        .collect();
     let candidates: Vec<ProcId> = (0..n as u32).map(ProcId).collect();
     // A process with a call in progress cannot start Signal(): only
     // between-calls (or never-scheduled) processes qualify. Parked waiters
@@ -447,6 +453,13 @@ pub fn run_signal_phase(
 
 /// Runs the complete executable lower bound (Part 1 + both Part-2 phases)
 /// against `algo` with `cfg.part1.n` processes in the DSM model.
+///
+/// Discovery runs only when the chase erased someone. A refused erasure
+/// leaves the simulator unchanged, so an erasure-free chase stepped the
+/// same deterministic execution from the same Part-1 clone as discovery
+/// would, and its [`SignalRun`], with `blocked` set to 0, is the discovery.
+/// The `discovery`-scoped counters and the `adv.discovery` span then do not
+/// appear, and `discovery_ms` stays 0.
 pub fn run_lower_bound(
     algo: &dyn signaling::SignalingAlgorithm,
     cfg: LowerBoundConfig,
@@ -466,9 +479,17 @@ pub fn run_lower_bound(
                 let t = Instant::now();
                 let chase = run_signal_phase(&runner, s, true, cfg.max_chase_steps);
                 timings.chase_ms = t.elapsed().as_secs_f64() * 1e3;
-                let t = Instant::now();
-                let discovery = run_signal_phase(&runner, s, false, cfg.max_chase_steps);
-                timings.discovery_ms = t.elapsed().as_secs_f64() * 1e3;
+                let discovery = if chase.erased.is_empty() {
+                    SignalRun {
+                        blocked: 0,
+                        ..chase.clone()
+                    }
+                } else {
+                    let t = Instant::now();
+                    let discovery = run_signal_phase(&runner, s, false, cfg.max_chase_steps);
+                    timings.discovery_ms = t.elapsed().as_secs_f64() * 1e3;
+                    discovery
+                };
                 (Some(chase), Some(discovery))
             }
             None => (None, None),

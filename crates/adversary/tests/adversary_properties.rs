@@ -4,7 +4,10 @@
 //! from-scratch path. Driven by seeded deterministic loops (the workspace is
 //! dependency-free, so no proptest).
 
-use rmr_adversary::{run_lower_bound, LowerBoundConfig, Part1Config, Part1Runner};
+use rmr_adversary::{
+    choose_signaler, run_lower_bound, run_signal_phase, LowerBoundConfig, Part1Config, Part1Runner,
+    ReadWriteTransformed, SignalRun,
+};
 use shm_sim::{ProcId, XorShift64};
 use signaling::algorithms::{
     Broadcast, CasList, CcFlag, FixedSignaler, QueueSignaling, SingleWaiter,
@@ -187,5 +190,65 @@ fn incremental_engine_matches_reference_pipeline() {
             "{} n={n}: incremental differs from reference",
             a.name()
         );
+    }
+}
+
+/// A refused erasure leaves the execution unchanged, so when the chase
+/// erases no one the report's discovery is the chase's run with `blocked`
+/// 0. It equals a forced no-erasure run in every field, the audit
+/// included: single-waiter and queue-faa as E2 runs them at n = 32 and
+/// 256, and E8's cas-list and queue-faa rows at n = 32 (E8's cas-list+rw
+/// leaves no stable waiter, so it has neither phase). Broadcast's chase
+/// erases, so its discovery is a run of its own, equal to the forced one.
+#[test]
+fn erasure_free_chase_doubles_as_discovery() {
+    // E2 runs the default 8 Part-1 rounds, E8 up to 64.
+    let cfg = |n, max_rounds| {
+        let mut cfg = LowerBoundConfig::for_n(n);
+        cfg.part1.max_rounds = max_rounds;
+        cfg.part1.audit = true;
+        cfg
+    };
+    let cases: [(Box<dyn SignalingAlgorithm>, _); 8] = [
+        (Box::new(SingleWaiter), cfg(32, 8)),
+        (Box::new(SingleWaiter), cfg(256, 8)),
+        (Box::new(QueueSignaling), cfg(32, 8)),
+        (Box::new(QueueSignaling), cfg(256, 8)),
+        (Box::new(CasList), cfg(32, 64)),
+        (
+            Box::new(ReadWriteTransformed::new(Box::new(CasList))),
+            cfg(32, 64),
+        ),
+        (Box::new(QueueSignaling), cfg(32, 64)),
+        (Box::new(Broadcast), cfg(32, 8)),
+    ];
+    for (a, cfg) in cases {
+        let ctx = format!("{} n={}", a.name(), cfg.part1.n);
+        let report = run_lower_bound(a.as_ref(), cfg);
+        let (Some(chase), Some(discovery)) = (&report.chase, &report.discovery) else {
+            assert!(
+                report.chase.is_none() && report.discovery.is_none(),
+                "{ctx}"
+            );
+            assert!(report.part1.stable.is_empty(), "{ctx}");
+            continue;
+        };
+        assert_eq!(chase.erased.is_empty(), a.name() != "broadcast", "{ctx}");
+        if chase.erased.is_empty() {
+            assert_eq!(
+                discovery,
+                &SignalRun {
+                    blocked: 0,
+                    ..chase.clone()
+                },
+                "{ctx}"
+            );
+        }
+        let mut runner = Part1Runner::new(a.as_ref(), cfg.part1);
+        runner.run();
+        let s = choose_signaler(&runner, cfg.part1.n).expect("a signaler");
+        let forced = run_signal_phase(&runner, s, false, cfg.max_chase_steps);
+        assert!(forced.audit.as_ref().is_some_and(|a| a.is_clean()), "{ctx}");
+        assert_eq!(&forced, discovery, "{ctx}");
     }
 }

@@ -128,7 +128,7 @@ impl fmt::Display for AuditDivergence {
 }
 
 /// Outcome of one [`Simulator::audit`] run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditReport {
     /// Cost models the audit priced (the recording's own model plus the
     /// remaining standard models; a divergence stops the walk early).
@@ -881,8 +881,9 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// End-state diff: totals, per-process stats, memory image and
-    /// cache-validity table against the live simulator's final state.
+    /// End-state diff: totals, per-process stats, memory image (reservations
+    /// included) and cache-validity table against the live simulator's final
+    /// state.
     fn check_end_state(&self) -> Option<AuditDivergence> {
         let stats: Vec<ProcStats> = (0..self.spec.n())
             .map(|i| self.sim.proc_stats(ProcId(i as u32)))
@@ -893,14 +894,13 @@ impl<'a> Walk<'a> {
             &stats,
             self.sim.memory(),
             self.sim.cost_state(),
-            false,
         )
     }
 
     /// Boundary diff at an interior checkpoint, as the walk reaches its
     /// schedule position: the walk must have consumed exactly the events the
     /// checkpoint covers (crash events aside), and its naive state must match
-    /// the checkpoint's, reservations included.
+    /// the checkpoint's.
     fn check_boundary(&mut self, ckpt: &Checkpoint) -> Option<AuditDivergence> {
         let end = ckpt.history_len();
         while self.cursor < end
@@ -919,12 +919,13 @@ impl<'a> Walk<'a> {
             ));
         }
         let stats: Vec<ProcStats> = ckpt.procs().iter().map(|p| p.stats).collect();
-        self.diff_state(end, ckpt.totals(), &stats, ckpt.memory(), ckpt.cost(), true)
+        self.diff_state(end, ckpt.totals(), &stats, ckpt.memory(), ckpt.cost())
     }
 
     /// Diffs the walk's naive shadow state under the recording's own model
     /// against an expected observable state (a checkpoint's, or the live
-    /// simulator's final state, whose reservations are not diffed).
+    /// simulator's final state): totals, stats, every cell's value, last
+    /// writer and reservations, and the cache-validity sets.
     fn diff_state(
         &self,
         evlen: usize,
@@ -932,7 +933,6 @@ impl<'a> Walk<'a> {
         stats: &[ProcStats],
         mem: &Memory,
         cost: &CostState,
-        check_reservations: bool,
     ) -> Option<AuditDivergence> {
         if t.steps != self.totals.steps {
             return Some(self.diverge(
@@ -1015,7 +1015,7 @@ impl<'a> Walk<'a> {
                 ));
             }
             // Both sides iterate in ascending pid order without repeats.
-            if check_reservations && !mem.reservations(addr).eq(cell.reserved.iter().copied()) {
+            if !mem.reservations(addr).eq(cell.reserved.iter().copied()) {
                 let live_rsv: BTreeSet<ProcId> = mem.reservations(addr).collect();
                 return Some(self.diverge(
                     evlen,
@@ -1535,6 +1535,27 @@ mod tests {
             assert_eq!(d.expected, "[ProcId(129)]");
             assert_eq!(d.actual, "[]");
         }
+    }
+
+    /// The end-state diff compares LL reservations too: with checkpoints
+    /// off, a naive reservation on `M[3]` that the recording never made,
+    /// which no later access reads, is reported at the end of the walk.
+    #[test]
+    fn extra_naive_reservation_is_caught_by_the_end_state_diff() {
+        let spec = one_reader_spec(8, CostModel::Dsm);
+        let sim = reader_first(&spec, None);
+        let m3 = Addr(4);
+        assert_eq!(spec.layout.labels().name(m3), "M[3]");
+        let mut walk = Walk::new(&sim, &spec, &audited_models(CostModel::Dsm));
+        walk.cells[m3.index()].reserved.insert(ProcId(5));
+        let d = walk.run().expect("extra reservation caught");
+        let end = (sim.schedule().len(), sim.history().len(), None);
+        assert_eq!((d.step, d.event, d.pid), end);
+        assert_eq!(d.model, "dsm");
+        assert_eq!(d.field, "memory.reservations");
+        assert_eq!(d.location, "M[3]");
+        assert_eq!(d.expected, "{ProcId(5)}");
+        assert_eq!(d.actual, "{}");
     }
 
     /// Every audited model's holder sets are diffed at access time, not

@@ -128,6 +128,17 @@ pub enum RegularityViolation {
     },
 }
 
+/// The processes that overwrote one cell in a history (see
+/// [`History::cell_writers`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CellWriters {
+    /// Distinct processes with an access that overwrote the cell
+    /// (`wrote: true`), in ascending pid order.
+    pub all: BTreeSet<ProcId>,
+    /// The process whose overwrite came last.
+    pub last: ProcId,
+}
+
 /// A history event as one process experiences it: cost metadata stripped,
 /// identities of other processes invisible. See [`History::projection`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -742,6 +753,36 @@ impl History {
             .collect()
     }
 
+    /// Every overwritten cell's writers, in one pass over the log: the
+    /// distinct processes whose accesses overwrote it (`wrote: true`) and
+    /// the last of them. Cells no access overwrote are absent. Regularity
+    /// condition 3 (Definition 6.6) is stated over these sets; the memory
+    /// image keeps only each cell's last writer.
+    #[must_use]
+    pub fn cell_writers(&self) -> BTreeMap<Addr, CellWriters> {
+        let mut out: BTreeMap<Addr, CellWriters> = BTreeMap::new();
+        for e in self.events.iter() {
+            if let Event::Access {
+                pid,
+                op,
+                wrote: true,
+                ..
+            } = *e
+            {
+                out.entry(op.addr())
+                    .and_modify(|w| {
+                        w.all.insert(pid);
+                        w.last = pid;
+                    })
+                    .or_insert_with(|| CellWriters {
+                        all: BTreeSet::from([pid]),
+                        last: pid,
+                    });
+            }
+        }
+        out
+    }
+
     /// Checks regularity (Definition 6.6). Conditions 1 and 2 require every
     /// seen/touched process to be in `Fin(H)`; condition 3 requires the last
     /// writer of every multi-writer cell to be in `Fin(H)`.
@@ -794,28 +835,12 @@ impl History {
                 }
             }
         }
-        // Condition 3: reconstruct per-cell writer sets from the log.
-        let mut writers: BTreeMap<Addr, (BTreeSet<ProcId>, ProcId)> = BTreeMap::new();
-        for e in self.events.iter() {
-            if let Event::Access {
-                pid,
-                op,
-                wrote: true,
-                ..
-            } = *e
-            {
-                let entry = writers
-                    .entry(op.addr())
-                    .or_insert_with(|| (BTreeSet::new(), pid));
-                entry.0.insert(pid);
-                entry.1 = pid;
-            }
-        }
-        for (addr, (set, last)) in writers {
-            if set.len() > 1 && !fin.contains(&last) {
+        // Condition 3, over the writer sets the log records.
+        for (addr, w) in self.cell_writers() {
+            if w.all.len() > 1 && !fin.contains(&w.last) {
                 violations.push(RegularityViolation::MultiWriterLastWriteActive {
                     addr,
-                    last_writer: last,
+                    last_writer: w.last,
                 });
             }
         }
@@ -1104,8 +1129,9 @@ mod tests {
     }
 
     /// Generates a random access history over `n_procs` processes and
-    /// `n_cells` cells (writes only — condition 3 is about writer sets), plus
-    /// a random finished set.
+    /// `n_cells` cells (mostly writes, since condition 3 is about writer
+    /// sets; a quarter are reads, which must not count as writes), plus a
+    /// random finished set.
     fn random_write_history(
         rng: &mut crate::rng::XorShift64,
         n_procs: u32,
@@ -1116,7 +1142,8 @@ mod tests {
         for _ in 0..len {
             let pid = rng.below(u64::from(n_procs)) as u32;
             let addr = rng.below(u64::from(n_cells)) as u32;
-            h.push(access(pid, addr, true, None, None));
+            let wrote = !rng.chance(1, 4);
+            h.push(access(pid, addr, wrote, None, None));
         }
         let mut fin = BTreeSet::new();
         for p in 0..n_procs {
@@ -1127,14 +1154,17 @@ mod tests {
         (h, fin)
     }
 
-    /// Property: condition-3 violations are exactly the multi-writer cells
-    /// whose last writer is outside `fin` — one violation per such cell,
-    /// naming that last writer — for arbitrary write histories and `fin` sets.
+    /// Property: [`History::cell_writers`] lists exactly each overwritten
+    /// cell's distinct writers and last writer, and condition-3 violations
+    /// are exactly the multi-writer cells whose last writer is outside `fin`
+    /// — one violation per such cell, naming that last writer — for
+    /// arbitrary access histories and `fin` sets.
     #[test]
     fn prop_multi_writer_last_write_active_matches_reference() {
         let mut rng = crate::rng::XorShift64::new(0xE1);
         for _ in 0..200 {
             let (h, fin) = random_write_history(&mut rng, 5, 4, 24);
+            let cell_writers = h.cell_writers();
             // Independent reconstruction of per-cell writer sets.
             let mut expected = Vec::new();
             for a in 0..4u32 {
@@ -1159,6 +1189,12 @@ mod tests {
                     } if op.addr() == Addr(a) => Some(pid),
                     _ => None,
                 });
+                assert_eq!(
+                    cell_writers.get(&Addr(a)).map(|w| (&w.all, w.last)),
+                    last.map(|last| (&writers, last)),
+                    "cell {a} of {:?}",
+                    h.to_vec()
+                );
                 if let Some(last) = last {
                     if writers.len() > 1 && !fin.contains(&last) {
                         expected.push(RegularityViolation::MultiWriterLastWriteActive {

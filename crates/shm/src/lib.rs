@@ -76,7 +76,7 @@ pub mod trace;
 
 pub use audit::{AuditDivergence, AuditReport};
 pub use event::{
-    fingerprint_words, CallRecord, Event, History, ProjectedEvent, RegularityViolation,
+    fingerprint_words, CallRecord, CellWriters, Event, History, ProjectedEvent, RegularityViolation,
 };
 pub use history_label::Labels;
 pub use ids::{Addr, AddrRange, ProcId, Word, NIL};

@@ -166,9 +166,9 @@ impl MemLayout {
 /// A dense `(cell, pid)` bit table: one fixed-width stripe of `u64` words
 /// per cell, indexed `cell * stride + pid/64`.
 ///
-/// This is the structure-of-arrays replacement for the per-cell
-/// `Vec<ProcId>` writer/reservation lists: membership tests and inserts on
-/// the step path are a shift and a mask with no heap traffic, clearing a
+/// This is the structure-of-arrays replacement for a per-cell
+/// `Vec<ProcId>` reservation list: membership tests and inserts on the
+/// step path are a shift and a mask with no heap traffic, clearing a
 /// cell's set (every nontrivial op breaks all LL reservations) is a short
 /// word fill, and cloning the whole table — which the explorer does for
 /// every snapshot — is one flat memcpy.
@@ -291,17 +291,16 @@ impl Iterator for BitIter {
 /// Sentinel in the dense owner / last-writer columns: no process.
 const NO_PROC: u32 = u32::MAX;
 
-/// Saved states of individual cells — value, last writer, writer set and
+/// Saved states of individual cells — value, last writer and
 /// reservations — that [`Memory::restore_cells`] writes back. The DSM
 /// erasure walk rolls cells of the live memory back in place and keeps
 /// their live states here, so a refusal costs only the cells it reached.
 #[derive(Debug, Default)]
 pub(crate) struct CellUndo {
-    /// `(cell, value, last writer, writers stripe width, reservations
-    /// stripe width)` per saved cell.
-    cells: Vec<(usize, Word, u32, usize, usize)>,
-    /// Each saved cell's writers stripe followed by its reservations
-    /// stripe, in save order.
+    /// `(cell, value, last writer, reservations stripe width)` per saved
+    /// cell.
+    cells: Vec<(usize, Word, u32, usize)>,
+    /// Each saved cell's reservations stripe, in save order.
     words: Vec<u64>,
 }
 
@@ -312,12 +311,16 @@ pub(crate) struct CellUndo {
 /// same execution be priced under both the CC and DSM models.
 ///
 /// The representation is structure-of-arrays: parallel dense columns
-/// indexed by [`Addr`] (values, owners, last writers) plus one
-/// `PidTable` each for the writer sets and the live LL reservations.
-/// A step touches a handful of adjacent flat slots instead of a 100-byte
-/// `Cell` struct with two heap vectors, and cloning — the unit of work of
-/// checkpoints and explorer snapshots — is a few flat memcpys with no
-/// per-cell allocations.
+/// indexed by [`Addr`] (values, owners, last writers) plus one `PidTable`
+/// for the live LL reservations. A step touches a handful of adjacent flat
+/// slots instead of a `Cell` struct with a heap vector, and cloning — the
+/// unit of work of checkpoints and explorer snapshots — is a few flat
+/// memcpys with no per-cell allocations.
+///
+/// A cell's writer set (every process that ever overwrote it) is not kept
+/// here: the history records every overwrite, and
+/// [`History::cell_writers`](crate::History::cell_writers) derives the
+/// sets for the few readers that need them.
 #[derive(Clone, Debug)]
 pub struct Memory {
     values: Vec<Word>,
@@ -326,9 +329,6 @@ pub struct Memory {
     /// Last process that performed a nontrivial operation per cell
     /// (`NO_PROC` = none yet).
     last_writer: Vec<u32>,
-    /// Distinct processes that have performed nontrivial operations
-    /// (needed for regularity condition 3 of Definition 6.6).
-    writers: PidTable,
     /// Processes holding an unbroken LL reservation per cell.
     reservations: PidTable,
 }
@@ -346,7 +346,6 @@ impl Memory {
                 .map(|spec| spec.owner.map_or(NO_PROC, |p| p.0))
                 .collect(),
             last_writer: vec![NO_PROC; cells],
-            writers: PidTable::new(cells),
             reservations: PidTable::new(cells),
         }
     }
@@ -358,7 +357,6 @@ impl Memory {
         self.values.clone_from(&src.values);
         self.owners.clone_from(&src.owners);
         self.last_writer.clone_from(&src.last_writer);
-        self.writers.copy_from(&src.writers);
         self.reservations.copy_from(&src.reservations);
     }
 
@@ -398,12 +396,6 @@ impl Memory {
         }
     }
 
-    /// Distinct processes that have performed nontrivial operations on
-    /// `addr`, in ascending pid order.
-    pub fn writers(&self, addr: Addr) -> impl Iterator<Item = ProcId> + '_ {
-        self.writers.iter_cell(addr.index())
-    }
-
     /// Processes currently holding an LL reservation on `addr` (ascending
     /// pid order). The audit layer seeds and boundary-checks its naive
     /// shadow cells with these.
@@ -413,15 +405,9 @@ impl Memory {
 
     /// Appends `cell`'s whole state to `undo`.
     pub(crate) fn save_cell(&self, cell: usize, undo: &mut CellUndo) {
-        let (w, r) = (self.writers.stripe(cell), self.reservations.stripe(cell));
-        undo.cells.push((
-            cell,
-            self.values[cell],
-            self.last_writer[cell],
-            w.len(),
-            r.len(),
-        ));
-        undo.words.extend_from_slice(w);
+        let r = self.reservations.stripe(cell);
+        undo.cells
+            .push((cell, self.values[cell], self.last_writer[cell], r.len()));
         undo.words.extend_from_slice(r);
     }
 
@@ -429,13 +415,11 @@ impl Memory {
     /// must have been saved at most once, so the order does not matter.
     pub(crate) fn restore_cells(&mut self, undo: &CellUndo) {
         let mut at = 0;
-        for &(cell, value, writer, w, r) in &undo.cells {
+        for &(cell, value, writer, r) in &undo.cells {
             self.values[cell] = value;
             self.last_writer[cell] = writer;
-            self.writers.set_stripe(cell, &undo.words[at..at + w]);
-            self.reservations
-                .set_stripe(cell, &undo.words[at + w..at + w + r]);
-            at += w + r;
+            self.reservations.set_stripe(cell, &undo.words[at..at + r]);
+            at += r;
         }
     }
 
@@ -444,7 +428,6 @@ impl Memory {
     pub(crate) fn copy_cell_from(&mut self, src: &Memory, cell: usize) {
         self.values[cell] = src.values[cell];
         self.last_writer[cell] = src.last_writer[cell];
-        self.writers.set_stripe(cell, src.writers.stripe(cell));
         self.reservations
             .set_stripe(cell, src.reservations.stripe(cell));
     }
@@ -465,7 +448,6 @@ impl Memory {
     fn overwrite(&mut self, cell: usize, pid: ProcId, value: Word) {
         self.values[cell] = value;
         self.last_writer[cell] = pid.0;
-        self.writers.insert(cell, pid);
         self.reservations.clear_cell(cell);
     }
 
@@ -684,20 +666,9 @@ mod tests {
     }
 
     #[test]
-    fn writer_tracking_is_deduplicated() {
-        let (mut m, a, _) = two_cell_memory();
-        m.apply(ProcId(2), Op::Write(a, 1));
-        m.apply(ProcId(0), Op::Write(a, 2));
-        m.apply(ProcId(2), Op::Write(a, 3));
-        assert_eq!(m.writers(a).collect::<Vec<_>>(), vec![ProcId(0), ProcId(2)]);
-        assert_eq!(m.last_writer(a), Some(ProcId(2)));
-    }
-
-    #[test]
     fn failed_cas_does_not_record_writer() {
         let (mut m, a, _) = two_cell_memory();
         m.apply(ProcId(0), Op::Cas(a, 99, 1));
-        assert_eq!(m.writers(a).count(), 0);
         assert_eq!(m.last_writer(a), None);
     }
 
@@ -713,15 +684,9 @@ mod tests {
         assert_eq!(layout.initial_value(g.at(0)), 3);
     }
 
-    /// Every observable of one cell: value, last writer, writer set and
-    /// reservations.
-    fn cell_state(m: &Memory, a: Addr) -> (Word, Option<ProcId>, Vec<ProcId>, Vec<ProcId>) {
-        (
-            m.peek(a),
-            m.last_writer(a),
-            m.writers(a).collect(),
-            m.reservations(a).collect(),
-        )
+    /// Every observable of one cell: value, last writer and reservations.
+    fn cell_state(m: &Memory, a: Addr) -> (Word, Option<ProcId>, Vec<ProcId>) {
+        (m.peek(a), m.last_writer(a), m.reservations(a).collect())
     }
 
     /// Cell-wise save, roll-back and restore round-trip whole cell states
@@ -745,7 +710,7 @@ mod tests {
             m.copy_cell_from(&base, cell.index());
             assert_eq!(cell_state(&m, cell), cell_state(&base, cell));
         }
-        m.apply(ProcId(200), Op::Write(b, 9));
+        m.apply(ProcId(200), Op::Ll(b));
         m.restore_cells(&undo);
         assert_eq!([cell_state(&m, a), cell_state(&m, b)], live);
 
@@ -761,7 +726,6 @@ mod tests {
     struct RefCell_ {
         value: Word,
         last_writer: Option<ProcId>,
-        writers: std::collections::BTreeSet<u32>,
         reservations: std::collections::BTreeSet<u32>,
     }
 
@@ -769,7 +733,6 @@ mod tests {
         fn overwrite(&mut self, pid: ProcId, value: Word) {
             self.value = value;
             self.last_writer = Some(pid);
-            self.writers.insert(pid.0);
             self.reservations.clear();
         }
 
@@ -829,10 +792,11 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Property: the dense pid-indexed tables ([`PidTable`]) behave exactly
-    /// like per-cell struct semantics on random operation sequences — every
-    /// applied result and every observable (value, last writer, writer set,
-    /// reservation set) agrees after every step, across several seeds.
+    /// Property: the dense pid-indexed reservation table ([`PidTable`])
+    /// behaves exactly like per-cell struct semantics on random operation
+    /// sequences — every applied result and every observable (value, last
+    /// writer, reservation set) agrees after every step, across several
+    /// seeds.
     #[test]
     fn dense_tables_match_reference_cells_on_random_ops() {
         for seed in 0..8u64 {
@@ -881,11 +845,6 @@ mod tests {
                 for (&addr, cell) in addrs.iter().zip(&reference) {
                     assert_eq!(mem.peek(addr), cell.value, "seed {seed}");
                     assert_eq!(mem.last_writer(addr), cell.last_writer, "seed {seed}");
-                    assert_eq!(
-                        mem.writers(addr).map(|p| p.0).collect::<Vec<_>>(),
-                        cell.writers.iter().copied().collect::<Vec<_>>(),
-                        "seed {seed}"
-                    );
                     assert_eq!(
                         mem.reservations(addr).map(|p| p.0).collect::<Vec<_>>(),
                         cell.reservations.iter().copied().collect::<Vec<_>>(),

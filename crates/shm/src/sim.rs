@@ -545,24 +545,27 @@ impl Simulator {
     ///   a cell rolls that cell back to the checkpoint's state, saving its
     ///   live state in an undo log that a refusal plays back. A cell the
     ///   walk never reaches was not accessed since the checkpoint, so its
-    ///   live state already is the filtered one. Acceptance is applied by
-    ///   surgery — memory keeps the walk's image; the erased events and
-    ///   steps are filtered out of the log and schedule from the first
-    ///   erased one on, the prefix staying shared; survivors' `sees`
-    ///   attributions are recomputed against the filtered image; and the
-    ///   erased machines not already in their initial state reset. DSM
-    ///   access costs depend only on the static cell placement, so survivor
-    ///   stats are reused verbatim.
+    ///   live state already is the filtered one. A batch none of whose
+    ///   processes made a nontrivial access is accepted without a walk: no
+    ///   survivor saw it (Definition 6.4) and it changed no value, so only
+    ///   its own LL reservations differ, which the surgery drops.
+    ///   Acceptance is applied by surgery — memory keeps the walk's image;
+    ///   the erased events and steps are filtered out of the log and
+    ///   schedule from the first erased one on, the prefix staying shared;
+    ///   survivors' `sees` attributions are recomputed against the filtered
+    ///   image; and the erased machines not already in their initial state
+    ///   reset. DSM access costs depend only on the static cell placement,
+    ///   so survivor stats are reused verbatim.
     /// * **CC models** — re-execution of the schedule suffix from the latest
     ///   checkpoint at or before the splice point, since erasing a process
     ///   rewrites cache-validity history and every later charge must be
     ///   re-derived.
     ///
-    /// In debug builds (or with the `exact-fingerprints` cargo feature) the
-    /// DSM surgery is cross-checked against the re-step path — verdict,
-    /// history, schedule, totals and every cell's value, last writer,
-    /// writer set and reservations — and the re-step path's fingerprint
-    /// verdict against an exact projection comparison.
+    /// In debug builds (or with the `exact-fingerprints` cargo feature)
+    /// every DSM erasure, walked or not, is cross-checked against the
+    /// re-step path — verdict, history, schedule, totals and every cell's
+    /// value, last writer and reservations — and the re-step path's
+    /// fingerprint verdict against an exact projection comparison.
     pub fn erase_certified_in_place(&mut self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> bool {
         let _span = shm_obs::Span::enter("sim.erase");
         let n = self.n();
@@ -583,85 +586,84 @@ impl Simulator {
         let (splice, first_gone_inj) = self.splice_point(&gone);
         // Survivor-visible values can only diverge at an erased process's
         // first nontrivial access; walk from the latest checkpoint before
-        // that point.
-        let mut wsplice = self.schedule.len();
-        for &pid in batch {
-            if let Some(t) = self.first_write[pid.index()] {
-                wsplice = wsplice.min(t);
-            }
-        }
-        let wbase = self
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|c| c.schedule_len <= wsplice);
-        let seed;
-        let (base, start_events) = match wbase {
-            Some(c) => (&c.memory, c.history_len),
-            None => {
-                seed = Memory::from_layout(&spec.layout);
-                (&seed, 0)
-            }
-        };
-        // Certification walk: re-apply survivors' recorded accesses against
-        // the filtered memory. Invoke/Return/Terminate events are machine-
-        // internal — they cannot change while every observed result is
-        // unchanged — so only Access events are checked. A survivor may see
-        // a different (surviving) last writer with an unchanged result, so
-        // `sees` is recomputed here; `touches` (the static owner) and `wrote`
-        // (a function of op and result) cannot change. Every access, erased
-        // or not, first rolls its cell back to `base`: a cell touched only
-        // by erased processes ends in its base state.
-        let mut rolled_back = vec![false; self.memory.len()];
-        let mut undo = CellUndo::default();
+        // that point. A batch that made none was seen by no survivor
+        // (Definition 6.4) and changed no value one read: nothing to walk.
         let mut sees_fixes: Vec<(usize, Option<ProcId>)> = Vec::new();
-        let mut walked = 0u64;
-        let mut diverged = false;
-        for (k, e) in self.history.events_from(start_events).enumerate() {
-            walked += 1;
-            let Event::Access {
-                pid,
-                op,
-                result,
-                sees,
-                ..
-            } = e
-            else {
-                continue;
+        let first_write = batch.iter().filter_map(|p| self.first_write[p.index()]);
+        if let Some(wsplice) = first_write.min() {
+            let wbase = self
+                .checkpoints
+                .iter()
+                .rev()
+                .find(|c| c.schedule_len <= wsplice);
+            let seed;
+            let (base, start_events) = match wbase {
+                Some(c) => (&c.memory, c.history_len),
+                None => {
+                    seed = Memory::from_layout(&spec.layout);
+                    (&seed, 0)
+                }
             };
-            let cell = op.addr().index();
-            if !rolled_back[cell] {
-                rolled_back[cell] = true;
-                self.memory.save_cell(cell, &mut undo);
-                self.memory.copy_cell_from(base, cell);
+            // Certification walk: re-apply survivors' recorded accesses
+            // against the filtered memory. Invoke/Return/Terminate events
+            // are machine-internal — they cannot change while every
+            // observed result is unchanged — so only Access events are
+            // checked. A survivor may see a different (surviving) last
+            // writer with an unchanged result, so `sees` is recomputed
+            // here; `touches` (the static owner) and `wrote` (a function of
+            // op and result) cannot change. Every access, erased or not,
+            // first rolls its cell back to `base`: a cell touched only by
+            // erased processes ends in its base state.
+            let mut rolled_back = vec![false; self.memory.len()];
+            let mut undo = CellUndo::default();
+            let mut walked = 0u64;
+            let mut diverged = false;
+            for (k, e) in self.history.events_from(start_events).enumerate() {
+                walked += 1;
+                let Event::Access {
+                    pid,
+                    op,
+                    result,
+                    sees,
+                    ..
+                } = e
+                else {
+                    continue;
+                };
+                let cell = op.addr().index();
+                if !rolled_back[cell] {
+                    rolled_back[cell] = true;
+                    self.memory.save_cell(cell, &mut undo);
+                    self.memory.copy_cell_from(base, cell);
+                }
+                if gone[pid.index()] {
+                    continue;
+                }
+                let now_sees = sees_of(&self.memory, *pid, op);
+                if now_sees != *sees {
+                    sees_fixes.push((start_events + k, now_sees));
+                }
+                if self.memory.apply(*pid, *op).result != *result {
+                    diverged = true;
+                    break;
+                }
             }
-            if gone[pid.index()] {
-                continue;
+            shm_obs::counter!("erase.walk_events", walked);
+            if diverged {
+                self.memory.restore_cells(&undo);
+                #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
+                {
+                    // Suppress recording: the shadow re-step is a pure
+                    // cross-check, not part of the execution's cost.
+                    let _quiet = shm_obs::suppress();
+                    assert!(
+                        !shadow.erase_by_restep(spec, &gone),
+                        "event-walk refused an erasure the re-step path accepts"
+                    );
+                }
+                shm_obs::counter!("erase.refused");
+                return false;
             }
-            let now_sees = sees_of(&self.memory, *pid, op);
-            if now_sees != *sees {
-                sees_fixes.push((start_events + k, now_sees));
-            }
-            if self.memory.apply(*pid, *op).result != *result {
-                diverged = true;
-                break;
-            }
-        }
-        shm_obs::counter!("erase.walk_events", walked);
-        if diverged {
-            self.memory.restore_cells(&undo);
-            #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
-            {
-                // Suppress recording: the shadow re-step is a pure
-                // cross-check, not part of the execution's cost.
-                let _quiet = shm_obs::suppress();
-                assert!(
-                    !shadow.erase_by_restep(spec, &gone),
-                    "event-walk refused an erasure the re-step path accepts"
-                );
-            }
-            shm_obs::counter!("erase.refused");
-            return false;
         }
 
         // Accepted: apply the erasure by surgery. No event before the
@@ -787,10 +789,6 @@ impl Simulator {
                     shadow.memory.last_writer(addr),
                     self.memory.last_writer(addr),
                     "surgery: last-writer mismatch at cell {a}"
-                );
-                assert!(
-                    shadow.memory.writers(addr).eq(self.memory.writers(addr)),
-                    "surgery: writer-set mismatch at cell {a}"
                 );
                 assert!(
                     shadow
